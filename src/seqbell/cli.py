@@ -21,11 +21,12 @@ import numpy as np
 
 from .feasibility import (
     FeasibilityGrid,
+    p_window,
     p_window_genuine,
-    p_window_standard,
     phi_threshold_genuine,
     phi_threshold_standard,
     scan,
+    scan_grid,
     v_threshold_genuine,
 )
 from .lhvbound import (
@@ -36,6 +37,7 @@ from .lhvbound import (
     svetlichny_classical_max,
 )
 from .qstate import PHI_MAX
+from .scenario import check_v
 from .verify import check_names, run_checks
 
 USAGE_ERROR = 2
@@ -45,12 +47,6 @@ CHECK_FAILURE = 1
 def _fmt(x: float) -> str:
     """Decimal form capped at 12 significant digits; diffable and reimport-safe."""
     return f"{x:.12g}"
-
-
-def _scan_grids(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
-    phi = np.arange(1, n_phi + 1) / n_phi * PHI_MAX  # (0, pi/4], zero excluded
-    p = np.linspace(0.0, 1.0, n_p)
-    return phi, p
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -143,10 +139,7 @@ def grid_to_svg(grid: FeasibilityGrid) -> str:
     for pick in (lambda w: w.lo, lambda w: w.hi):
         points = []
         for phi in np.linspace(phi_max / 400, phi_max, 400):
-            if grid.kind == "standard":
-                window = p_window_standard(float(phi))
-            else:
-                window = p_window_genuine(float(phi), grid.v)
+            window = p_window(grid.kind, float(phi), grid.v)
             if window.empty:
                 continue
             points.append(f"{sx(float(phi)):.2f},{sy(pick(window)):.2f}")
@@ -196,10 +189,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_scan(args, kind: str) -> int:
-    phi, p = _scan_grids(args.grid_phi, args.grid_p)
-    v = args.v if kind == "genuine" else None
-    grid = scan(kind, phi, p, v=v)
+def cmd_scan(args) -> int:
+    phi, p = scan_grid(args.grid_phi, args.grid_p)
+    grid = scan(args.kind, phi, p, v=args.v)
     _write_atomic(args.out, grid_to_csv(grid))
     flagged = int(np.count_nonzero(grid.flagged))
     print(f"wrote {grid.phi.size * grid.p.size} rows to {args.out} "
@@ -246,10 +238,19 @@ def _positive_grid(value: str) -> int:
 
 
 def _bias(value: str) -> float:
-    v = float(value)
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError("v must lie strictly between 0 and 1")
+    try:
+        v = float(value)
+        check_v(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return v
+
+
+def _output_path(value: str) -> str:
+    """Reject an existing target that the atomic rename must not replace."""
+    if os.path.exists(value) and not os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"{value} exists and is not a regular file")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--inject-failure", metavar="CHECK", default=None,
                           choices=check_names(),
                           help="perturb the named check so it must fail (fault injection)")
+    p_verify.set_defaults(run=cmd_verify)
 
     for kind in ("standard", "genuine"):
         p_scan = sub.add_parser(f"scan-{kind}",
@@ -271,10 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="N", help="number of phi samples (default 500)")
         p_scan.add_argument("--grid-p", type=_positive_grid, default=500,
                             metavar="N", help="number of p samples (default 500)")
-        p_scan.add_argument("--out", required=True, metavar="FILE",
+        p_scan.add_argument("--out", type=_output_path, required=True, metavar="FILE",
                             help="output CSV path")
-        p_scan.add_argument("--svg", default=None, metavar="FILE",
+        p_scan.add_argument("--svg", type=_output_path, default=None, metavar="FILE",
                             help="optional SVG rendering of the flagged region")
+        p_scan.set_defaults(run=cmd_scan, kind=kind, v=None)
         if kind == "genuine":
             p_scan.add_argument("--v", type=_bias, required=True,
                                 help="input bias v in (0, 1)")
@@ -282,33 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_windows = sub.add_parser("windows", help="print thresholds and p-windows")
     p_windows.add_argument("--v", type=_bias, action="append", default=None,
                            help="bias value (repeatable; default 0.8 and 0.9)")
+    p_windows.set_defaults(run=cmd_windows)
 
-    sub.add_parser("bounds", help="print enumerated classical bounds and witnesses")
+    p_bounds = sub.add_parser("bounds", help="print enumerated classical bounds and witnesses")
+    p_bounds.set_defaults(run=cmd_bounds)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan-standard":
-            return cmd_scan(args, "standard")
-        if args.command == "scan-genuine":
-            return cmd_scan(args, "genuine")
-        if args.command == "windows":
-            return cmd_windows(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+        return args.run(args)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except RuntimeError as exc:  # internal consistency check tripped
+    except (ValueError, RuntimeError) as exc:
+        # The parser has validated every argument, so a ValueError here is a
+        # fault of the program, like a tripped internal consistency check.
         print(f"internal check failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE
-    return 0
 
 
 if __name__ == "__main__":

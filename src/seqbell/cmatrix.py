@@ -1,9 +1,8 @@
-"""Dense complex linear algebra on small matrices (2x2 up to 8x8).
+"""Kronecker product and structural predicates on small complex matrices.
 
-Everything is a plain ``numpy.ndarray`` of dtype complex128. The helpers
-here add the shape/finiteness checking and the structural predicates
-(hermiticity, idempotency, positivity) that the rest of the package relies
-on. No matrix ever exceeds 8x8, so nothing is tuned for size.
+Everything is a plain ``numpy.ndarray`` of dtype complex128, at most 8x8,
+so nothing is tuned for size. The predicates (hermiticity, idempotency)
+check the effects and observables that the rest of the package builds.
 """
 
 from __future__ import annotations
@@ -14,16 +13,6 @@ import numpy as np
 # package are trigonometric in a single angle, so double precision leaves
 # several orders of magnitude of headroom over this.
 DEFAULT_TOL = 1e-12
-
-
-def as_cmatrix(entries) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 def identity(n: int) -> np.ndarray:
@@ -37,33 +26,6 @@ def zeros(n: int) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b."""
     return np.kron(a, b)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace of non-square matrix {a.shape}")
-    return complex(np.trace(a))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} + {b.shape}")
-    return a + b
-
-
-def scale(c: complex, a: np.ndarray) -> np.ndarray:
-    return c * a
 
 
 def _require_square(a: np.ndarray) -> None:
@@ -81,9 +43,3 @@ def is_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Max-entry deviation from a^2 = a is at most tol."""
     _require_square(a)
     return bool(np.max(np.abs(a @ a - a)) <= tol)
-
-
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """All eigenvalues >= -tol. Assumes a is (numerically) Hermitian."""
-    _require_square(a)
-    return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)

@@ -23,14 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PHI_MAX
+from .qstate import PHI_MAX, check_phi
 from .scenario import (
+    BOUNDS,
     SQRT2,
     VIOLATION_MARGIN,
-    genuine_branch_values,
-    standard_branch_values,
+    branch_values,
+    check_kind,
+    check_v,
+    mix,
 )
-from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
 
 
 @dataclass(frozen=True)
@@ -51,20 +53,17 @@ class Interval:
         return not self.empty and self.lo < x < self.hi
 
 
-def _check_phi_positive(phi: float) -> None:
-    if not 0.0 < phi <= PHI_MAX:
+def _window_sine(phi: float) -> float:
+    """sin(2 phi) for a window angle; no window is defined at phi = 0."""
+    check_phi(phi)
+    if phi == 0.0:
         raise ValueError(f"phi={phi} outside (0, pi/4]")
-
-
-def _check_v(v: float) -> None:
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v={v} outside (0, 1)")
+    return math.sin(2 * phi)
 
 
 def p_window_standard(phi: float) -> Interval:
     """Mixing probabilities giving M1 > 2 and M2 > 2 simultaneously."""
-    _check_phi_positive(phi)
-    s = math.sin(2 * phi)
+    s = _window_sine(phi)
     return Interval.clamped(1 / s - 1, 3 - 2 / s)
 
 
@@ -75,10 +74,17 @@ def phi_threshold_standard() -> float:
 
 def p_window_genuine(phi: float, v: float) -> Interval:
     """Mixing probabilities giving S1 > 4 and S2 > 4 simultaneously."""
-    _check_phi_positive(phi)
-    _check_v(v)
-    s = math.sin(2 * phi)
+    s = _window_sine(phi)
+    check_v(v)
     return Interval.clamped(SQRT2 / s - 1, 1 + 1 / v - SQRT2 / (v * s))
+
+
+def p_window(kind: str, phi: float, v: float | None = None) -> Interval:
+    """The p-window of the named scenario."""
+    check_kind(kind, v)
+    if kind == "standard":
+        return p_window_standard(phi)
+    return p_window_genuine(phi, v)
 
 
 def v_threshold_genuine() -> float:
@@ -106,17 +112,23 @@ class FeasibilityGrid:
     flagged: np.ndarray
     bound: float
 
-    axis1_name: str = "phi"
-    axis2_name: str = "p"
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.value1.shape
 
 
+def scan_grid(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_phi angles evenly spaced in (0, pi/4], zero excluded, and n_p p's in [0, 1]."""
+    phi = np.arange(1, n_phi + 1) / n_phi * PHI_MAX
+    p = np.linspace(0.0, 1.0, n_p)
+    return phi, p
+
+
 def _check_samples(name: str, samples: np.ndarray, lo: float, hi: float) -> None:
     if samples.size == 0:
         raise ValueError(f"{name} samples are empty")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{name} samples must be finite")
     if np.any(np.diff(samples) <= 0):
         raise ValueError(f"{name} samples must be strictly increasing")
     if samples[0] < lo or samples[-1] > hi:
@@ -127,35 +139,20 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
     """Simulate every (phi, p) cell and flag the double violations.
 
     Cell values are bitwise identical to the per-point pair functions: the
-    per-phi branch values are computed once and mixed with the same
-    arithmetic.
+    per-phi branch values are computed once and mixed by the same
+    ``scenario.mix``.
     """
     phi = np.asarray(phi_samples, dtype=float)
     p = np.asarray(p_samples, dtype=float)
     _check_samples("phi", phi, 0.0, PHI_MAX)
     _check_samples("p", p, 0.0, 1.0)
-
-    if kind == "standard":
-        if v is not None:
-            raise ValueError("v is not a parameter of the standard scan")
-        bound = MERMIN_CLASSICAL_BOUND
-    elif kind == "genuine":
-        if v is None:
-            raise ValueError("the genuine scan requires v")
-        _check_v(v)
-        bound = SVETLICHNY_CLASSICAL_BOUND
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
+    check_kind(kind, v)
+    bound = BOUNDS[kind]
 
     value1 = np.empty((phi.size, p.size))
     value2 = np.empty((phi.size, p.size))
     for i, ph in enumerate(phi):
-        if kind == "standard":
-            b1_first, b1_second, b2_first, b2_second = standard_branch_values(ph)
-        else:
-            b1_first, b1_second, b2_first, b2_second = genuine_branch_values(ph, v)
-        value1[i, :] = p * b1_first + (1 - p) * b2_first
-        value2[i, :] = p * b1_second + (1 - p) * b2_second
+        value1[i, :], value2[i, :] = mix(branch_values(kind, ph, v), p)
 
     threshold = bound + VIOLATION_MARGIN
     flagged = (value1 > threshold) & (value2 > threshold)
@@ -171,10 +168,7 @@ def window_membership(grid: FeasibilityGrid) -> np.ndarray:
     for i, ph in enumerate(grid.phi):
         if ph == 0.0:
             continue
-        if grid.kind == "standard":
-            window = p_window_standard(ph)
-        else:
-            window = p_window_genuine(ph, grid.v)
+        window = p_window(grid.kind, ph, grid.v)
         if window.empty:
             continue
         inside[i, :] = (window.lo < grid.p) & (grid.p < window.hi)

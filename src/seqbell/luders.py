@@ -72,14 +72,3 @@ def luders_update(rho: np.ndarray, strategy: CharlieStrategy) -> np.ndarray:
     if drift > _TRACE_TOL:
         raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")
     return out
-
-
-def chain(rho0: np.ndarray, strategies) -> list[np.ndarray]:
-    """States seen by each observer in sequence; element k goes to observer k+1.
-
-    The initial state is included, so n strategies yield n + 1 states.
-    """
-    states = [rho0]
-    for strategy in strategies:
-        states.append(luders_update(states[-1], strategy))
-    return states

@@ -38,13 +38,18 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def ghz(phi: float) -> np.ndarray:
-    """State vector cos(phi)|000> + sin(phi)|111>, phi in [0, pi/4].
+def check_phi(phi: float) -> None:
+    """Reject a state angle outside the closed interval [0, pi/4], or NaN.
 
-    Angles outside that closed interval are rejected rather than wrapped.
+    Angles are rejected rather than wrapped.
     """
     if not 0.0 <= phi <= PHI_MAX:
         raise ValueError(f"phi={phi} outside [0, pi/4]")
+
+
+def ghz(phi: float) -> np.ndarray:
+    """State vector cos(phi)|000> + sin(phi)|111>, phi in [0, pi/4]."""
+    check_phi(phi)
     amps = np.zeros(8, dtype=complex)
     amps[0] = math.cos(phi)
     amps[7] = math.sin(phi)

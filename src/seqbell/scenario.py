@@ -33,7 +33,6 @@ the central correctness check of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bell import (
     MERMIN_CLASSICAL_BOUND,
@@ -44,8 +43,8 @@ from .bell import (
 )
 from .luders import CharlieStrategy, InputDistribution, luders_update
 from .qstate import (
-    PHI_MAX,
     bloch_obs,
+    check_phi,
     ghz,
     identity_measurement,
     pauli,
@@ -59,34 +58,30 @@ SQRT2 = math.sqrt(2.0)
 # boundary classification is deterministic in floating point.
 VIOLATION_MARGIN = 1e-9
 
-
-@dataclass(frozen=True)
-class MixtureParams:
-    """Strategy-mixing probability p, and the input bias v where used."""
-
-    p: float
-    v: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-        if self.v is not None and not 0.0 < self.v < 1.0:
-            raise ValueError(f"v={self.v} outside (0, 1)")
+# Classical bound of each scenario's inequality, by scenario kind.
+BOUNDS = {"standard": MERMIN_CLASSICAL_BOUND, "genuine": SVETLICHNY_CLASSICAL_BOUND}
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    phi: float
-    params: MixtureParams
-    value1: float
-    value2: float
-    bound: float
-    double_violation: bool
+def check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
 
 
-def _check_phi(phi: float) -> None:
-    if not 0.0 <= phi <= PHI_MAX:
-        raise ValueError(f"phi={phi} outside [0, pi/4]")
+def check_v(v: float) -> None:
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"v={v} outside (0, 1)")
+
+
+def check_kind(kind: str, v: float | None) -> None:
+    """Reject an unknown kind, a genuine scenario without v, or a standard one with v."""
+    if kind not in BOUNDS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    if kind == "standard" and v is not None:
+        raise ValueError("v is not a parameter of the standard scenario")
+    if kind == "genuine":
+        if v is None:
+            raise ValueError("the genuine scenario requires v")
+        check_v(v)
 
 
 def _standard_settings(c0, c1) -> TripartiteSettings:
@@ -108,7 +103,6 @@ def _genuine_settings(c0, c1) -> TripartiteSettings:
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:
     """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) for one phi."""
-    _check_phi(phi)
     rho = to_density(ghz(phi))
     x, y = pauli("x"), pauli("y")
 
@@ -134,9 +128,7 @@ def standard_branch_values(phi: float) -> tuple[float, float, float, float]:
 
 def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, float]:
     """Simulated Svetlichny values (S1^s1, S2^s1, S1^s2, S2^s2) for one (phi, v)."""
-    _check_phi(phi)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v={v} outside (0, 1)")
+    check_v(v)
     rho = to_density(ghz(phi))
     x = pauli("x")
     minus_y = -pauli("y")
@@ -162,63 +154,49 @@ def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, fl
     return s1_s1, s2_s1, s1_s2, s2_s2
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+def branch_values(kind: str, phi: float, v: float | None = None):
+    """Simulated (first1, second1, first2, second2) of the named scenario."""
+    check_kind(kind, v)
+    if kind == "standard":
+        return standard_branch_values(phi)
+    return genuine_branch_values(phi, v)
+
+
+def mix(branches, p) -> tuple:
+    """(value1, value2) of the strategy mixture: strategy 1 with probability p.
+
+    ``branches`` is (first1, second1, first2, second2) as the branch
+    functions return it; p may be a float or an array. Scans and the pair
+    functions both mix here, so their values agree bitwise.
+    """
+    first1, second1, first2, second2 = branches
+    return p * first1 + (1 - p) * first2, p * second1 + (1 - p) * second2
 
 
 def standard_pair_simulated(phi: float, p: float) -> tuple[float, float]:
     """(M1, M2) from full density-matrix simulation of the strategy mixture."""
-    _check_p(p)
-    m1_s1, m2_s1, m1_s2, m2_s2 = standard_branch_values(phi)
-    return p * m1_s1 + (1 - p) * m1_s2, p * m2_s1 + (1 - p) * m2_s2
+    check_p(p)
+    return mix(standard_branch_values(phi), p)
 
 
 def standard_pair_closed(phi: float, p: float) -> tuple[float, float]:
     """(M1, M2) = ((2p + 2) sin 2phi, (3 - p) sin 2phi)."""
-    _check_phi(phi)
-    _check_p(p)
+    check_phi(phi)
+    check_p(p)
     s = math.sin(2 * phi)
     return (2 * p + 2) * s, (3 - p) * s
 
 
 def genuine_pair_simulated(phi: float, p: float, v: float) -> tuple[float, float]:
     """(S1, S2) from full density-matrix simulation of the strategy mixture."""
-    _check_p(p)
-    s1_s1, s2_s1, s1_s2, s2_s2 = genuine_branch_values(phi, v)
-    return p * s1_s1 + (1 - p) * s1_s2, p * s2_s1 + (1 - p) * s2_s2
+    check_p(p)
+    return mix(genuine_branch_values(phi, v), p)
 
 
 def genuine_pair_closed(phi: float, p: float, v: float) -> tuple[float, float]:
     """(S1, S2) = (2 sqrt2 (p+1) sin 2phi, 2 sqrt2 (1 + v(1-p)) sin 2phi)."""
-    _check_phi(phi)
-    _check_p(p)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v={v} outside (0, 1)")
+    check_phi(phi)
+    check_p(p)
+    check_v(v)
     s = math.sin(2 * phi)
     return 2 * SQRT2 * (p + 1) * s, 2 * SQRT2 * (1 + v * (1 - p)) * s
-
-
-def report(kind: str, phi: float, p: float, v: float | None = None) -> ScenarioReport:
-    """Run one simulated scenario point and classify the double violation."""
-    if kind == "standard":
-        if v is not None:
-            raise ValueError("v is not a parameter of the standard scenario")
-        value1, value2 = standard_pair_simulated(phi, p)
-        bound = MERMIN_CLASSICAL_BOUND
-    elif kind == "genuine":
-        if v is None:
-            raise ValueError("the genuine scenario requires v")
-        value1, value2 = genuine_pair_simulated(phi, p, v)
-        bound = SVETLICHNY_CLASSICAL_BOUND
-    else:
-        raise ValueError(f"unknown scenario kind {kind!r}")
-    threshold = bound + VIOLATION_MARGIN
-    return ScenarioReport(
-        phi=phi,
-        params=MixtureParams(p=p, v=v),
-        value1=value1,
-        value2=value2,
-        bound=bound,
-        double_violation=(value1 > threshold and value2 > threshold),
-    )

@@ -23,6 +23,7 @@ from .feasibility import (
     phi_threshold_genuine,
     phi_threshold_standard,
     scan,
+    scan_grid,
     scan_window_disagreements,
     v_threshold_genuine,
 )
@@ -48,6 +49,7 @@ from .scenario import (
     SQRT2,
     genuine_branch_values,
     genuine_pair_closed,
+    mix,
     standard_branch_values,
     standard_pair_simulated,
 )
@@ -62,10 +64,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _scan_phi_grid(n: int) -> np.ndarray:
-    return np.arange(1, n + 1) / n * PHI_MAX
 
 
 def _random_strategy(rng) -> CharlieStrategy:
@@ -209,41 +207,39 @@ def check_svetlichny_branch_values(perturb: float = 0.0):
     return dev <= 1e-10, f"max deviation {dev:.2e} (tol 1e-10)"
 
 
-def _mixture_deviation_standard(n_phi: int, n_p: int) -> float:
+def _mixture_deviation(branches, closed, n_phi: int, n_p: int) -> float:
+    """Largest gap between the mixed ``branches(phi)`` and ``closed(phi, p)``.
+
+    Taken over n_phi angles in [0, pi/4] and n_p mixing probabilities.
+    """
     p = np.linspace(0.0, 1.0, n_p)
     dev = 0.0
     for phi in np.linspace(0.0, PHI_MAX, n_phi):
-        first1, second1, first2, second2 = standard_branch_values(phi)
-        sim1 = p * first1 + (1 - p) * first2
-        sim2 = p * second1 + (1 - p) * second2
-        sin2 = math.sin(2 * phi)
-        dev = max(dev, np.max(np.abs(sim1 - (2 * p + 2) * sin2)),
-                  np.max(np.abs(sim2 - (3 - p) * sin2)))
-    return dev
-
-
-def _mixture_deviation_genuine(n_phi: int, n_p: int, v_values) -> float:
-    p = np.linspace(0.0, 1.0, n_p)
-    dev = 0.0
-    for v in v_values:
-        for phi in np.linspace(0.0, PHI_MAX, n_phi):
-            first1, second1, first2, second2 = genuine_branch_values(phi, float(v))
-            sim1 = p * first1 + (1 - p) * first2
-            sim2 = p * second1 + (1 - p) * second2
-            sin2 = math.sin(2 * phi)
-            dev = max(dev, np.max(np.abs(sim1 - 2 * SQRT2 * (1 + p) * sin2)),
-                      np.max(np.abs(sim2 - 2 * SQRT2 * (1 + v * (1 - p)) * sin2)))
+        sim1, sim2 = mix(branches(phi), p)
+        closed1, closed2 = closed(phi, p)
+        dev = max(dev, np.max(np.abs(sim1 - closed1)), np.max(np.abs(sim2 - closed2)))
     return dev
 
 
 def check_mixture_closed_form_standard(perturb: float = 0.0):
-    dev = _mixture_deviation_standard(200, 200) + perturb
+    dev = _mixture_deviation(
+        standard_branch_values,
+        lambda phi, p: ((2 * p + 2) * math.sin(2 * phi), (3 - p) * math.sin(2 * phi)),
+        200, 200,
+    ) + perturb
     return dev <= 1e-10, f"max deviation {dev:.2e} on a 200x200 grid (tol 1e-10)"
 
 
 def check_mixture_closed_form_genuine(perturb: float = 0.0):
-    v_values = np.arange(1, 21) / 21
-    dev = _mixture_deviation_genuine(200, 200, v_values) + perturb
+    dev = 0.0
+    for v in np.arange(1, 21) / 21:
+        dev = max(dev, _mixture_deviation(
+            lambda phi: genuine_branch_values(phi, float(v)),
+            lambda phi, p: (2 * SQRT2 * (1 + p) * math.sin(2 * phi),
+                            2 * SQRT2 * (1 + v * (1 - p)) * math.sin(2 * phi)),
+            200, 200,
+        ))
+    dev += perturb
     return dev <= 1e-10, f"max deviation {dev:.2e} on 20 bias slices (tol 1e-10)"
 
 
@@ -322,15 +318,14 @@ def check_window_endpoints(perturb: float = 0.0):
 
 
 def check_unbiased_genuine_scan(perturb: float = 0.0):
-    grid = scan("genuine", _scan_phi_grid(500), np.linspace(0.0, 1.0, 500), v=0.5)
+    grid = scan("genuine", *scan_grid(500, 500), v=0.5)
     flags = int(np.count_nonzero(grid.flagged)) + perturb
     return flags <= 0, f"{flags:g} flagged cells at bias 1/2 on a 500x500 grid (expect 0)"
 
 
-def check_standard_scan_consistency(perturb: float = 0.0):
-    grid = scan("standard", _scan_phi_grid(500), np.linspace(0.0, 1.0, 500))
+def _scan_consistency(grid, threshold: float, perturb: float):
+    """Scan flags agree with the windows, and flag only angles above threshold."""
     mismatches = scan_window_disagreements(grid) + perturb
-    threshold = phi_threshold_standard()
     flagged_rows = grid.phi[np.any(grid.flagged, axis=1)]
     region_ok = flagged_rows.size > 0 and np.all(flagged_rows > threshold)
     ok = mismatches <= 0 and region_ok
@@ -338,19 +333,16 @@ def check_standard_scan_consistency(perturb: float = 0.0):
         f"{mismatches:g} window mismatches away from the boundary (expect 0); "
         f"flagged angles all above {threshold:.4f}: {region_ok}"
     )
+
+
+def check_standard_scan_consistency(perturb: float = 0.0):
+    grid = scan("standard", *scan_grid(500, 500))
+    return _scan_consistency(grid, phi_threshold_standard(), perturb)
 
 
 def check_genuine_scan_consistency(perturb: float = 0.0):
-    grid = scan("genuine", _scan_phi_grid(250), np.linspace(0.0, 1.0, 250), v=0.8)
-    mismatches = scan_window_disagreements(grid) + perturb
-    threshold = phi_threshold_genuine(0.8)
-    flagged_rows = grid.phi[np.any(grid.flagged, axis=1)]
-    region_ok = flagged_rows.size > 0 and np.all(flagged_rows > threshold)
-    ok = mismatches <= 0 and region_ok
-    return ok, (
-        f"{mismatches:g} window mismatches away from the boundary (expect 0); "
-        f"flagged angles all above {threshold:.4f}: {region_ok}"
-    )
+    grid = scan("genuine", *scan_grid(250, 250), v=0.8)
+    return _scan_consistency(grid, phi_threshold_genuine(0.8), perturb)
 
 
 def check_window_monotonicity(perturb: float = 0.0):

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Tolerances are fixed here and nowhere else.
+lines. The suite is an independent restatement of the criteria: the
+``verify`` checks test the same criteria with the same tolerances, but
+nothing here calls them, and some criteria use other grids and seeds.
 """
 
 import math

@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -62,6 +64,26 @@ class TestScanStandard:
                         "--out", str(out)]) == 2
         assert not (tmp_path / "missing").exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_refuses_to_replace_non_regular_file(self, tmp_path, flag):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        args = ["scan-standard", "--grid-phi", "4", "--grid-p", "4",
+                "--out", str(tmp_path / "scan.csv"), flag, str(fifo)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_internal_value_error_is_check_failure(self, tmp_path, monkeypatch, capsys):
+        def broken_scan(*args, **kwargs):
+            raise ValueError("bad internal state")
+
+        monkeypatch.setattr(cli, "scan", broken_scan)
+        assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
+                        "--out", str(tmp_path / "scan.csv")]) == 1
+        assert "internal check failed: bad internal state" in capsys.readouterr().err
 
     def test_svg_output(self, tmp_path):
         out, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
@@ -183,9 +205,13 @@ class TestVerify:
 
 
 def test_full_verify_clean_exit():
+    # The child imports seqbell from the same place this process did.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "seqbell.cli", "verify"],
         capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout

@@ -139,6 +139,30 @@ class TestScan:
                 assert grid.value1[i, j] == s1
                 assert grid.value2[i, j] == s2
 
+    def test_boundary_is_not_a_violation(self):
+        # M1 = 2 exactly at p = 0, phi = pi/4 must not count as a violation
+        grid = scan("standard", [PI4], [0.0])
+        assert grid.value1[0, 0] == pytest.approx(2.0, abs=1e-10)
+        assert not grid.flagged[0, 0]
+
+    def test_standard_double_violation(self):
+        grid = scan("standard", [PI4], [0.5])
+        assert grid.flagged[0, 0]
+        assert grid.bound == 2.0
+        assert grid.value1[0, 0] == pytest.approx(3.0, abs=1e-10)
+        assert grid.value2[0, 0] == pytest.approx(2.5, abs=1e-10)
+
+    def test_standard_below_threshold(self):
+        # sin(0.6) ~ 0.5646, so M1 ~ 1.694 < 2
+        grid = scan("standard", [0.3], [0.5])
+        assert not grid.flagged[0, 0]
+        assert grid.value1[0, 0] < 2.0
+
+    def test_genuine_double_violation(self):
+        grid = scan("genuine", [PI4], [0.45], v=0.8)
+        assert grid.flagged[0, 0]
+        assert grid.bound == 4.0
+
     def test_flags_require_strict_double_violation(self):
         grid = scan("standard", phi_grid(40), np.linspace(0.0, 1.0, 40))
         above = (grid.value1 > grid.bound + 1e-9) & (grid.value2 > grid.bound + 1e-9)
@@ -182,6 +206,11 @@ class TestScan:
             scan("standard", [0.3, 1.2], good_p)
         with pytest.raises(ValueError):
             scan("standard", good_phi, [-0.1, 0.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                scan("standard", [0.5, 0.7], [0.2, bad])
+            with pytest.raises(ValueError):
+                scan("standard", [0.5, bad], good_p)
         with pytest.raises(ValueError):
             scan("genuine", good_phi, good_p)  # missing v
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from seqbell.luders import (
     CharlieStrategy,
     InputDistribution,
     UNBIASED,
-    chain,
     embed_third,
     luders_update,
 )
@@ -134,20 +133,3 @@ def test_identity_strategy_is_fixed_point():
     rho = to_density(ghz(0.4))
     do_nothing = CharlieStrategy(identity_measurement(), identity_measurement())
     assert np.max(np.abs(luders_update(rho, do_nothing) - rho)) < 1e-14
-
-
-def test_chain_shapes_and_first_step():
-    rho = to_density(ghz(math.pi / 4))
-    assert chain(rho, []) == [rho]
-
-    do_nothing = CharlieStrategy(identity_measurement(), identity_measurement())
-    states = chain(rho, [do_nothing])
-    assert len(states) == 2
-    assert np.max(np.abs(states[1] - rho)) < 1e-14
-
-    states = chain(rho, [BOTH_PROJECTIVE, BOTH_PROJECTIVE, ONE_IDENTITY])
-    assert len(states) == 4
-    expected_second = rho / 2 + X8 @ rho @ X8 / 4 + Y8 @ rho @ Y8 / 4
-    assert np.max(np.abs(states[1] - expected_second)) < 1e-14
-    for state in states:
-        assert abs(np.trace(state).real - 1.0) < 1e-12

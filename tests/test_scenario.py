@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from seqbell.scenario import (
-    MixtureParams,
+    check_p,
+    check_v,
     genuine_branch_values,
     genuine_pair_closed,
     genuine_pair_simulated,
-    report,
     standard_branch_values,
     standard_pair_closed,
     standard_pair_simulated,
@@ -126,50 +126,17 @@ class TestValidation:
             with pytest.raises(ValueError):
                 genuine_pair_simulated(0.5, 0.5, v)
 
-    def test_mixture_params(self):
-        assert MixtureParams(0.5).v is None
-        with pytest.raises(ValueError):
-            MixtureParams(1.5)
-        with pytest.raises(ValueError):
-            MixtureParams(0.5, v=1.0)
+    def test_check_p_and_v(self):
+        check_p(0.0)
+        check_p(1.0)
+        check_v(0.5)
+        for bad_p in (1.5, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_p(bad_p)
+        for bad_v in (0.0, 1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                check_v(bad_v)
 
     def test_branch_value_count(self):
         assert len(standard_branch_values(0.5)) == 4
         assert len(genuine_branch_values(0.5, 0.5)) == 4
-
-
-class TestReport:
-    def test_standard_double_violation(self):
-        r = report("standard", PI4, 0.5)
-        assert r.double_violation
-        assert r.bound == 2.0
-        assert r.value1 == pytest.approx(3.0, abs=1e-10)
-        assert r.value2 == pytest.approx(2.5, abs=1e-10)
-
-    def test_standard_below_threshold(self):
-        # sin(0.6) ~ 0.5646, so M1 ~ 1.694 < 2
-        r = report("standard", 0.3, 0.5)
-        assert not r.double_violation
-        assert r.value1 < 2.0
-
-    def test_genuine_double_violation(self):
-        r = report("genuine", PI4, 0.45, v=0.8)
-        assert r.double_violation
-        assert r.bound == 4.0
-
-    def test_standard_rejects_v(self):
-        with pytest.raises(ValueError):
-            report("standard", PI4, 0.5, v=0.8)
-
-    def test_genuine_requires_v(self):
-        with pytest.raises(ValueError):
-            report("genuine", PI4, 0.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            report("bipartite", PI4, 0.5)
-
-    def test_boundary_is_not_a_violation(self):
-        # M1 = 2 exactly at p = 0, phi = pi/4 must not count as a violation
-        r = report("standard", PI4, 0.0)
-        assert not r.double_violation
