@@ -212,10 +212,22 @@ class TestScan:
             with pytest.raises(ValueError):
                 scan("standard", [0.5, bad], good_p)
         with pytest.raises(ValueError):
-            scan("genuine", good_phi, good_p)  # missing v
-        with pytest.raises(ValueError):
-            scan("standard", good_phi, good_p, v=0.5)  # stray v
-        with pytest.raises(ValueError):
             scan("genuine", good_phi, good_p, v=1.0)
+
+    def test_standard_rejects_v(self):
         with pytest.raises(ValueError):
-            scan("chsh", good_phi, good_p)
+            scan("standard", [PI4], [0.5], v=0.8)
+        with pytest.raises(ValueError):
+            scan("standard", phi_grid(4), np.linspace(0.0, 1.0, 4), v=0.5)
+
+    def test_genuine_requires_v(self):
+        with pytest.raises(ValueError):
+            scan("genuine", [PI4], [0.5])
+        with pytest.raises(ValueError):
+            scan("genuine", phi_grid(4), np.linspace(0.0, 1.0, 4))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            scan("bipartite", [PI4], [0.5])
+        with pytest.raises(ValueError):
+            scan("chsh", phi_grid(4), np.linspace(0.0, 1.0, 4))
