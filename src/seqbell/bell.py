@@ -54,7 +54,7 @@ class TripartiteSettings:
             o = getattr(self, name)
             if o.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {o.shape}")
-            if np.max(np.abs(o @ o - identity(2))) > 1e-12:
+            if not np.max(np.abs(o @ o - identity(2))) <= 1e-12:
                 raise ValueError(f"{name} does not square to the identity")
 
     def observable(self, x: int, y: int, z: int) -> tuple[np.ndarray, ...]:
@@ -68,7 +68,7 @@ class TripartiteSettings:
 def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """<A (x) B (x) C> on rho. Raises if the trace has an imaginary residue."""
     value = np.trace(rho @ kron(kron(a, b), c))
-    if abs(value.imag) > _IMAG_TOL:
+    if not abs(value.imag) <= _IMAG_TOL:
         raise RuntimeError(
             f"correlator has imaginary part {value.imag:g}; "
             "an operator upstream is not Hermitian"

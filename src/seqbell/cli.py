@@ -43,6 +43,11 @@ from .verify import check_names, run_checks
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
+# Largest scan, in grid cells: 16x the default 500x500 grid. Peak memory
+# is about 289 MB at 1M cells and grows linearly, so a scan at the cap
+# needs about 1.1 GB.
+MAX_SCAN_CELLS = 4_000_000
+
 
 def _fmt(x: float) -> str:
     """Decimal form capped at 12 significant digits; diffable and reimport-safe."""
@@ -263,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run all self-verification checks")
     p_verify.add_argument("--inject-failure", metavar="CHECK", default=None,
                           choices=check_names(),
-                          help="perturb the named check so it must fail (fault injection)")
+                          help="raise the named check's first measurement past its "
+                               "tolerance so it must fail (fault injection)")
     p_verify.set_defaults(run=cmd_verify)
 
     for kind in ("standard", "genuine"):
@@ -293,7 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.run is cmd_scan and args.grid_phi * args.grid_p > MAX_SCAN_CELLS:
+        parser.error(f"--grid-phi x --grid-p is {args.grid_phi * args.grid_p} cells, "
+                     f"more than the cap of {MAX_SCAN_CELLS}")
     try:
         return args.run(args)
     except OSError as exc:

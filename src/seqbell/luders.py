@@ -69,6 +69,6 @@ def luders_update(rho: np.ndarray, strategy: CharlieStrategy) -> np.ndarray:
             e8 = embed_third(effect)
             out += q * (e8 @ rho @ e8)
     drift = abs(np.trace(out) - np.trace(rho))
-    if drift > _TRACE_TOL:
+    if not drift <= _TRACE_TOL:
         raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")
     return out

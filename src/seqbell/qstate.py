@@ -62,7 +62,7 @@ def to_density(psi: np.ndarray) -> np.ndarray:
     if psi.shape != (8,):
         raise ValueError(f"expected an 8-dim state vector, got shape {psi.shape}")
     norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > DEFAULT_TOL:
+    if not abs(norm2 - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"state vector not normalized: |psi|^2 = {norm2}")
     return np.outer(psi, psi.conj())
 
@@ -70,7 +70,7 @@ def to_density(psi: np.ndarray) -> np.ndarray:
 def bloch_obs(nx: float, ny: float, nz: float) -> np.ndarray:
     """The +-1 observable n . sigma for a unit Bloch vector n."""
     norm2 = nx * nx + ny * ny + nz * nz
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:
         raise ValueError(f"Bloch vector not unit length: |n|^2 = {norm2}")
     return nx * _PAULI["x"] + ny * _PAULI["y"] + nz * _PAULI["z"]
 

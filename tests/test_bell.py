@@ -181,3 +181,25 @@ class TestLinearity:
     def test_settings_reject_non_involutive(self):
         with pytest.raises(ValueError):
             TripartiteSettings(a0=0.5 * SX, a1=SY, b0=SX, b1=SY, c0=SX, c1=SY)
+
+
+def _nan_density():
+    rho = to_density(ghz(0.3))
+    rho[0, 0] = np.nan
+    return rho
+
+
+NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: to_density(np.full(8, np.nan)), ValueError),
+    (lambda: bloch_obs(np.nan, 0.0, 1.0), ValueError),
+    (lambda: TripartiteSettings(a0=NAN_OBS, a1=SY, b0=SX, b1=SY, c0=SX, c1=SY), ValueError),
+    (lambda: luders_update(_nan_density(), CharlieStrategy(
+        projective_from_observable(SX), projective_from_observable(SY))), RuntimeError),
+    (lambda: expectation(_nan_density(), SX, SX, SX), RuntimeError),
+], ids=["to_density", "bloch_obs", "settings", "luders_update", "expectation"])
+def test_nan_fails_kernel_guards(call, error):
+    with pytest.raises(error):
+        call()

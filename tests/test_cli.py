@@ -131,6 +131,15 @@ class TestScanGenuine:
                      "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_rejects_grid_above_cap(self, tmp_path, capsys):
+        assert 2001 * 2000 > cli.MAX_SCAN_CELLS
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scan-genuine", "--grid-phi", "2001", "--grid-p", "2000", "--v", "0.8",
+                     "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "4002000 cells, more than the cap of 4000000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWindows:
     def test_default_output(self, capsys):
