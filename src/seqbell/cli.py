@@ -57,9 +57,13 @@ def _fmt(x: float) -> str:
 def _write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so failures leave no partial file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".seqbell-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
@@ -71,22 +75,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def grid_to_csv(grid: FeasibilityGrid) -> str:
-    lines = []
     if grid.v is None:
-        lines.append("phi,p,value1,value2,double_violation")
+        lines = ["phi,p,value1,value2,double_violation"]
+        v_col = ""
     else:
-        lines.append("phi,p,v,value1,value2,double_violation")
-        v_col = _fmt(grid.v)
-    for i, phi in enumerate(grid.phi):
+        lines = ["phi,p,v,value1,value2,double_violation"]
+        v_col = "," + _fmt(grid.v)
+    p_cols = [_fmt(p) + v_col for p in grid.p]
+    for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
         phi_col = _fmt(phi)
-        for j, p in enumerate(grid.p):
-            fields = [phi_col, _fmt(p)]
-            if grid.v is not None:
-                fields.append(v_col)
-            fields.append(_fmt(grid.value1[i, j]))
-            fields.append(_fmt(grid.value2[i, j]))
-            fields.append("1" if grid.flagged[i, j] else "0")
-            lines.append(",".join(fields))
+        for p_col, value1, value2, flag in zip(p_cols, row1.tolist(), row2.tolist(), flags):
+            lines.append(f"{phi_col},{p_col},{_fmt(value1)},{_fmt(value2)},{'1' if flag else '0'}")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .qstate import PHI_MAX, check_phi
 from .scenario import (
-    BOUNDS,
+    SCENARIOS,
     SQRT2,
     VIOLATION_MARGIN,
     branch_values,
@@ -147,7 +147,7 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
     _check_samples("phi", phi, 0.0, PHI_MAX)
     _check_samples("p", p, 0.0, 1.0)
     check_kind(kind, v)
-    bound = BOUNDS[kind]
+    bound = SCENARIOS[kind].bound
 
     value1 = np.empty((phi.size, p.size))
     value2 = np.empty((phi.size, p.size))

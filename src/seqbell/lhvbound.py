@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .bell import MERMIN_TERMS, SVETLICHNY_TERMS
@@ -25,65 +24,42 @@ from .scenario import genuine_pair_simulated, standard_pair_simulated
 
 BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
 
-_SIGNS = (-1, 1)
+# A deterministic strategy is its outcome table: the (a, b, c) outcome
+# triple for each input triple, in this (x, y, z) order.
+_INPUTS = tuple(itertools.product((0, 1), repeat=3))
+Table = tuple[tuple[int, int, int], ...]
+
+# Every way to answer two or four inputs with a sign.
+_SIGN_PAIRS = tuple(itertools.product((-1, 1), repeat=2))
+_SIGN_QUADS = tuple(itertools.product((-1, 1), repeat=4))
 
 
-@dataclass(frozen=True)
-class DeterministicLocalStrategy:
-    a0: int
-    a1: int
-    b0: int
-    b1: int
-    c0: int
-    c1: int
-
-    def outcomes(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        return (self.a0, self.a1)[x], (self.b0, self.b1)[y], (self.c0, self.c1)[z]
+def local_strategies() -> Iterator[Table]:
+    """The 64 tables where each party answers its own input with a fixed sign."""
+    for a, b, c in itertools.product(_SIGN_PAIRS, repeat=3):
+        yield tuple((a[x], b[y], c[z]) for x, y, z in _INPUTS)
 
 
-@dataclass(frozen=True)
-class DeterministicHybridStrategy:
-    """Joint outcomes for one bipartition's pair, solo outcomes for the rest.
+def hybrid_strategies() -> Iterator[Table]:
+    """The 3072 tables, 1024 per bipartition in ``BIPARTITIONS`` order.
 
-    ``joint_first``/``joint_second`` give the paired parties' outcomes as
-    functions of both paired inputs, indexed by 2*i + j; ``solo`` is the
-    lone party's per-input outcome.
+    The paired parties i, j answer with a joint sign pair indexed by both
+    of their inputs; the lone party k answers its own input alone.
     """
-
-    bipartition: str
-    joint_first: tuple[int, int, int, int]
-    joint_second: tuple[int, int, int, int]
-    solo: tuple[int, int]
-
-    def outcomes(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        if self.bipartition == "AB|C":
-            return self.joint_first[2 * x + y], self.joint_second[2 * x + y], self.solo[z]
-        if self.bipartition == "AC|B":
-            return self.joint_first[2 * x + z], self.solo[y], self.joint_second[2 * x + z]
-        if self.bipartition == "BC|A":
-            return self.solo[x], self.joint_first[2 * y + z], self.joint_second[2 * y + z]
-        raise ValueError(f"unknown bipartition {self.bipartition!r}")
-
-
-def local_strategies() -> Iterator[DeterministicLocalStrategy]:
-    for signs in itertools.product(_SIGNS, repeat=6):
-        yield DeterministicLocalStrategy(*signs)
-
-
-def hybrid_strategies() -> Iterator[DeterministicHybridStrategy]:
     for bipartition in BIPARTITIONS:
-        for first in itertools.product(_SIGNS, repeat=4):
-            for second in itertools.product(_SIGNS, repeat=4):
-                for solo in itertools.product(_SIGNS, repeat=2):
-                    yield DeterministicHybridStrategy(bipartition, first, second, solo)
+        i, j, k = ("ABC".index(party) for party in bipartition.replace("|", ""))
+        for first, second, solo in itertools.product(_SIGN_QUADS, _SIGN_QUADS, _SIGN_PAIRS):
+            table = []
+            for inputs in _INPUTS:
+                joint = 2 * inputs[i] + inputs[j]
+                outcome = [0, 0, 0]
+                outcome[i], outcome[j], outcome[k] = first[joint], second[joint], solo[inputs[k]]
+                table.append(tuple(outcome))
+            yield tuple(table)
 
 
-def _value(strategy, terms) -> int:
-    total = 0
-    for (x, y, z), coeff in terms:
-        a, b, c = strategy.outcomes(x, y, z)
-        total += coeff * a * b * c
-    return total
+def _value(table: Table, terms) -> int:
+    return sum(coeff * math.prod(table[4 * x + 2 * y + z]) for (x, y, z), coeff in terms)
 
 
 def mermin_value_of(strategy) -> int:

@@ -1,25 +1,23 @@
 """The two sequential two-observer scenarios, simulated and in closed form.
 
 Both scenarios share one shape: Alice and Bob keep fixed observables while
-two Charlies act on qubit C in sequence. Each Charlie draws one of two
-measurement strategies from shared classical randomness (first strategy
-with probability p), and each Alice-Bob-Charlie_k triple evaluates its
-inequality on the state Charlie_k actually receives.
+two Charlies act on qubit C in sequence. Charlie_1 draws one of two
+measurement strategies from shared classical randomness (strategy 1 with
+probability p); Charlie_2 always keeps strategy 1's settings. Each
+Alice-Bob-Charlie_k triple evaluates its inequality on the state
+Charlie_k actually receives. The scenarios differ only in data, one
+``Scenario`` record each in ``SCENARIOS``:
 
 Standard scenario (Mermin):
   A0 = X, A1 = Y, B0 = -Y, B1 = X.
-  Strategy 1: Charlie_1 measures X / Y projectively (uniform inputs);
-              Charlie_2 keeps the same settings.
-  Strategy 2: Charlie_1 measures X for z=0 and the identity for z=1;
-              Charlie_2 measures X / Y.
+  Strategy 1: Charlie_1 measures X / Y projectively (uniform inputs).
+  Strategy 2: Charlie_1 measures X for z=0 and the identity for z=1.
 
 Genuine scenario (Svetlichny):
   A0 = X, A1 = Y, B0 = (X - Y)/sqrt2, B1 = (X + Y)/sqrt2.
-  Strategy 1: Charlie_1 measures -Y / X projectively (uniform inputs);
-              Charlie_2 keeps the same settings.
+  Strategy 1: Charlie_1 measures -Y / X projectively (uniform inputs).
   Strategy 2: Charlie_1 performs the identity for z=0 (drawn with
-              probability v) and measures X for z=1; Charlie_2
-              measures -Y / X.
+              probability v) and measures X for z=1.
 
 The closed forms for the mixed values are
 
@@ -33,6 +31,8 @@ the central correctness check of the package.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from .bell import (
     MERMIN_CLASSICAL_BOUND,
@@ -41,7 +41,7 @@ from .bell import (
     mermin_value,
     svetlichny_value,
 )
-from .luders import CharlieStrategy, InputDistribution, luders_update
+from .luders import UNBIASED, CharlieStrategy, InputDistribution, luders_update
 from .qstate import (
     bloch_obs,
     check_phi,
@@ -58,8 +58,42 @@ SQRT2 = math.sqrt(2.0)
 # boundary classification is deterministic in floating point.
 VIOLATION_MARGIN = 1e-9
 
-# Classical bound of each scenario's inequality, by scenario kind.
-BOUNDS = {"standard": MERMIN_CLASSICAL_BOUND, "genuine": SVETLICHNY_CLASSICAL_BOUND}
+
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario as data; None in a Charlie pair marks the identity.
+
+    Callable fields build their matrices, or look up their inequality
+    function, when called, so every call goes through the module's names.
+    """
+
+    alice_bob: Callable[[], tuple]  # (A0, A1, B0, B1)
+    strategy1: Callable[[], tuple]  # Charlie_1's (C0, C1); Charlie_2 always uses it
+    strategy2: Callable[[], tuple]  # Charlie_1's (C0, C1) under strategy 2
+    value: Callable[[object, TripartiteSettings], float]  # (rho, settings) -> value
+    bound: float  # classical bound of the inequality
+    closed: Callable  # (sin 2phi, p, v) -> (value1, value2), p may be an array
+
+
+SCENARIOS = {
+    "standard": Scenario(
+        alice_bob=lambda: (pauli("x"), pauli("y"), -pauli("y"), pauli("x")),
+        strategy1=lambda: (pauli("x"), pauli("y")),
+        strategy2=lambda: (pauli("x"), None),
+        value=lambda rho, settings: mermin_value(rho, settings),
+        bound=MERMIN_CLASSICAL_BOUND,
+        closed=lambda s, p, v: ((2 * p + 2) * s, (3 - p) * s),
+    ),
+    "genuine": Scenario(
+        alice_bob=lambda: (pauli("x"), pauli("y"), bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0),
+                           bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0)),
+        strategy1=lambda: (-pauli("y"), pauli("x")),
+        strategy2=lambda: (None, pauli("x")),
+        value=lambda rho, settings: svetlichny_value(rho, settings),
+        bound=SVETLICHNY_CLASSICAL_BOUND,
+        closed=lambda s, p, v: (2 * SQRT2 * (p + 1) * s, 2 * SQRT2 * (1 + v * (1 - p)) * s),
+    ),
+}
 
 
 def check_p(p: float) -> None:
@@ -74,7 +108,7 @@ def check_v(v: float) -> None:
 
 def check_kind(kind: str, v: float | None) -> None:
     """Reject an unknown kind, a genuine scenario without v, or a standard one with v."""
-    if kind not in BOUNDS:
+    if kind not in SCENARIOS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     if kind == "standard" and v is not None:
         raise ValueError("v is not a parameter of the standard scenario")
@@ -84,74 +118,39 @@ def check_kind(kind: str, v: float | None) -> None:
         check_v(v)
 
 
-def _standard_settings(c0, c1) -> TripartiteSettings:
-    return TripartiteSettings(
-        a0=pauli("x"), a1=pauli("y"), b0=-pauli("y"), b1=pauli("x"), c0=c0, c1=c1
-    )
+def _charlie(pair, inputs: InputDistribution = UNBIASED):
+    """Charlie_1's settings and channel for an observable pair; None is the identity."""
+    settings = [identity_measurement().observable if c is None else c for c in pair]
+    measurements = [identity_measurement() if c is None else projective_from_observable(c)
+                    for c in pair]
+    return settings, CharlieStrategy(*measurements, inputs)
 
 
-def _genuine_settings(c0, c1) -> TripartiteSettings:
-    return TripartiteSettings(
-        a0=pauli("x"),
-        a1=pauli("y"),
-        b0=bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0),
-        b1=bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0),
-        c0=c0,
-        c1=c1,
+def _branch_values(scenario: Scenario, phi: float, prob_z0: float):
+    """(first1, second1, first2, second2); strategy 2 draws z = 0 with ``prob_z0``."""
+    rho = to_density(ghz(phi))
+    alice_bob = scenario.alice_bob()
+    charlie1, strat1 = _charlie(scenario.strategy1())
+    charlie2, strat2 = _charlie(scenario.strategy2(), InputDistribution(prob_z0))
+    settings1 = TripartiteSettings(*alice_bob, *charlie1)
+    settings2 = TripartiteSettings(*alice_bob, *charlie2)
+    return (
+        scenario.value(rho, settings1),
+        scenario.value(luders_update(rho, strat1), settings1),
+        scenario.value(rho, settings2),
+        scenario.value(luders_update(rho, strat2), settings1),
     )
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:
     """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) for one phi."""
-    rho = to_density(ghz(phi))
-    x, y = pauli("x"), pauli("y")
-
-    settings1 = _standard_settings(c0=x, c1=y)
-    strat1 = CharlieStrategy(
-        meas_z0=projective_from_observable(x),
-        meas_z1=projective_from_observable(y),
-    )
-    m1_s1 = mermin_value(rho, settings1)
-    m2_s1 = mermin_value(luders_update(rho, strat1), settings1)
-
-    settings2_first = _standard_settings(c0=x, c1=identity_measurement().observable)
-    strat2 = CharlieStrategy(
-        meas_z0=projective_from_observable(x),
-        meas_z1=identity_measurement(),
-    )
-    settings2_second = _standard_settings(c0=x, c1=y)
-    m1_s2 = mermin_value(rho, settings2_first)
-    m2_s2 = mermin_value(luders_update(rho, strat2), settings2_second)
-
-    return m1_s1, m2_s1, m1_s2, m2_s2
+    return _branch_values(SCENARIOS["standard"], phi, 0.5)
 
 
 def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, float]:
     """Simulated Svetlichny values (S1^s1, S2^s1, S1^s2, S2^s2) for one (phi, v)."""
     check_v(v)
-    rho = to_density(ghz(phi))
-    x = pauli("x")
-    minus_y = -pauli("y")
-
-    settings1 = _genuine_settings(c0=minus_y, c1=x)
-    strat1 = CharlieStrategy(
-        meas_z0=projective_from_observable(minus_y),
-        meas_z1=projective_from_observable(x),
-    )
-    s1_s1 = svetlichny_value(rho, settings1)
-    s2_s1 = svetlichny_value(luders_update(rho, strat1), settings1)
-
-    settings2_first = _genuine_settings(c0=identity_measurement().observable, c1=x)
-    strat2 = CharlieStrategy(
-        meas_z0=identity_measurement(),
-        meas_z1=projective_from_observable(x),
-        inputs=InputDistribution(v),
-    )
-    settings2_second = _genuine_settings(c0=minus_y, c1=x)
-    s1_s2 = svetlichny_value(rho, settings2_first)
-    s2_s2 = svetlichny_value(luders_update(rho, strat2), settings2_second)
-
-    return s1_s1, s2_s1, s1_s2, s2_s2
+    return _branch_values(SCENARIOS["genuine"], phi, v)
 
 
 def branch_values(kind: str, phi: float, v: float | None = None):
@@ -183,8 +182,7 @@ def standard_pair_closed(phi: float, p: float) -> tuple[float, float]:
     """(M1, M2) = ((2p + 2) sin 2phi, (3 - p) sin 2phi)."""
     check_phi(phi)
     check_p(p)
-    s = math.sin(2 * phi)
-    return (2 * p + 2) * s, (3 - p) * s
+    return SCENARIOS["standard"].closed(math.sin(2 * phi), p, None)
 
 
 def genuine_pair_simulated(phi: float, p: float, v: float) -> tuple[float, float]:
@@ -198,5 +196,4 @@ def genuine_pair_closed(phi: float, p: float, v: float) -> tuple[float, float]:
     check_phi(phi)
     check_p(p)
     check_v(v)
-    s = math.sin(2 * phi)
-    return 2 * SQRT2 * (p + 1) * s, 2 * SQRT2 * (1 + v * (1 - p)) * s
+    return SCENARIOS["genuine"].closed(math.sin(2 * phi), p, v)

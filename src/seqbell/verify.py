@@ -52,7 +52,9 @@ from .qstate import (
     to_density,
 )
 from .scenario import (
+    SCENARIOS,
     SQRT2,
+    branch_values,
     genuine_branch_values,
     genuine_pair_closed,
     mix,
@@ -212,38 +214,27 @@ def check_svetlichny_branch_values() -> list[Measurement]:
     return [("max deviation", dev, 1e-10)]
 
 
-def _mixture_deviation(branches, closed, n_phi: int, n_p: int) -> float:
-    """Largest gap between the mixed ``branches(phi)`` and ``closed(phi, p)``.
+def _mixture_deviation(kind: str, v: float | None) -> float:
+    """Largest gap between the simulated mixture and the scenario's closed form.
 
-    Taken over n_phi angles in [0, pi/4] and n_p mixing probabilities.
+    Taken over 200 angles in [0, pi/4] and 200 mixing probabilities.
     """
-    p = np.linspace(0.0, 1.0, n_p)
+    closed = SCENARIOS[kind].closed
+    p = np.linspace(0.0, 1.0, 200)
     dev = 0.0
-    for phi in np.linspace(0.0, PHI_MAX, n_phi):
-        sim1, sim2 = mix(branches(phi), p)
-        closed1, closed2 = closed(phi, p)
+    for phi in np.linspace(0.0, PHI_MAX, 200):
+        sim1, sim2 = mix(branch_values(kind, phi, v), p)
+        closed1, closed2 = closed(math.sin(2 * phi), p, v)
         dev = _worst(dev, np.abs(sim1 - closed1), np.abs(sim2 - closed2))
     return dev
 
 
 def check_mixture_closed_form_standard() -> list[Measurement]:
-    dev = _mixture_deviation(
-        standard_branch_values,
-        lambda phi, p: ((2 * p + 2) * math.sin(2 * phi), (3 - p) * math.sin(2 * phi)),
-        200, 200,
-    )
-    return [("max deviation on a 200x200 grid", dev, 1e-10)]
+    return [("max deviation on a 200x200 grid", _mixture_deviation("standard", None), 1e-10)]
 
 
 def check_mixture_closed_form_genuine() -> list[Measurement]:
-    dev = 0.0
-    for v in np.arange(1, 21) / 21:
-        dev = _worst(dev, _mixture_deviation(
-            lambda phi: genuine_branch_values(phi, float(v)),
-            lambda phi, p: (2 * SQRT2 * (1 + p) * math.sin(2 * phi),
-                            2 * SQRT2 * (1 + v * (1 - p)) * math.sin(2 * phi)),
-            200, 200,
-        ))
+    dev = _worst(*(_mixture_deviation("genuine", float(v)) for v in np.arange(1, 21) / 21))
     return [("max deviation on 20 bias slices", dev, 1e-10)]
 
 

@@ -4,11 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The suite is an independent restatement of the criteria: the
 ``verify`` checks test the same criteria with the same tolerances, but
 nothing here calls them, and some criteria use other grids and seeds.
+Deviations are reduced with ``np.max``/``np.min``, which propagate NaN,
+so a NaN value fails its criterion.
 """
 
 import math
+import sys
 
 import numpy as np
+import pytest
 
 from seqbell.feasibility import (
     p_window_genuine,
@@ -56,11 +60,23 @@ def test_criterion_1_mermin_strategy_values():
     for phi in PHI_GRID:
         s = math.sin(2 * phi)
         m1_s1, m2_s1, m1_s2, m2_s2 = standard_branch_values(phi)
-        dev = max(dev, abs(m1_s1 - 4 * s), abs(m2_s1 - 2 * s),
-                  abs(m1_s2 - 2 * s), abs(m2_s2 - 3 * s))
+        dev = np.max([dev, abs(m1_s1 - 4 * s), abs(m2_s1 - 2 * s),
+                      abs(m1_s2 - 2 * s), abs(m2_s2 - 3 * s)])
     _criterion(1, dev <= 1e-10,
                f"simulated Mermin strategy values match 4/2/2/3 sin(2phi) "
                f"on a 200-angle grid, max deviation {dev:.2e} (tol 1e-10)")
+
+
+def test_criterion_1_fails_on_a_nan_branch_value(monkeypatch):
+    def nan_at_one_angle(phi, branches=standard_branch_values):
+        m1_s1, m2_s1, m1_s2, m2_s2 = branches(phi)
+        if phi == PHI_GRID[57]:
+            m1_s2 = math.nan
+        return m1_s1, m2_s1, m1_s2, m2_s2
+
+    monkeypatch.setattr(sys.modules[__name__], "standard_branch_values", nan_at_one_angle)
+    with pytest.raises(AssertionError, match="criterion 1 failed"):
+        test_criterion_1_mermin_strategy_values()
 
 
 def test_criterion_2_svetlichny_strategy_values():
@@ -68,13 +84,13 @@ def test_criterion_2_svetlichny_strategy_values():
     for phi in PHI_GRID:
         s = math.sin(2 * phi)
         s1_s1, s2_s1, s1_s2, _ = genuine_branch_values(phi, 0.5)
-        dev = max(dev, abs(s1_s1 - 4 * SQRT2 * s), abs(s2_s1 - 2 * SQRT2 * s),
-                  abs(s1_s2 - 2 * SQRT2 * s))
+        dev = np.max([dev, abs(s1_s1 - 4 * SQRT2 * s), abs(s2_s1 - 2 * SQRT2 * s),
+                      abs(s1_s2 - 2 * SQRT2 * s)])
     for v in np.arange(1, 10) / 10:
         for phi in PHI_GRID:
             s = math.sin(2 * phi)
             s2_s2 = genuine_branch_values(phi, float(v))[3]
-            dev = max(dev, abs(s2_s2 - 2 * SQRT2 * (1 + v) * s))
+            dev = np.max([dev, abs(s2_s2 - 2 * SQRT2 * (1 + v) * s)])
     _criterion(2, dev <= 1e-10,
                f"simulated Svetlichny strategy values match their closed forms "
                f"for v in 0.1..0.9, max deviation {dev:.2e} (tol 1e-10)")
@@ -86,20 +102,20 @@ def test_criterion_3_mixture_closed_forms():
     for phi in PHI_GRID:
         m1_s1, m2_s1, m1_s2, m2_s2 = standard_branch_values(phi)
         s = math.sin(2 * phi)
-        dev = max(dev,
-                  np.max(np.abs(p_grid * m1_s1 + (1 - p_grid) * m1_s2
-                                - (2 * p_grid + 2) * s)),
-                  np.max(np.abs(p_grid * m2_s1 + (1 - p_grid) * m2_s2
-                                - (3 - p_grid) * s)))
+        dev = np.max([dev,
+                      np.max(np.abs(p_grid * m1_s1 + (1 - p_grid) * m1_s2
+                                    - (2 * p_grid + 2) * s)),
+                      np.max(np.abs(p_grid * m2_s1 + (1 - p_grid) * m2_s2
+                                    - (3 - p_grid) * s))])
     for v in np.arange(1, 21) / 21:
         for phi in PHI_GRID:
             s1_s1, s2_s1, s1_s2, s2_s2 = genuine_branch_values(phi, float(v))
             s = math.sin(2 * phi)
-            dev = max(dev,
-                      np.max(np.abs(p_grid * s1_s1 + (1 - p_grid) * s1_s2
-                                    - 2 * SQRT2 * (1 + p_grid) * s)),
-                      np.max(np.abs(p_grid * s2_s1 + (1 - p_grid) * s2_s2
-                                    - 2 * SQRT2 * (1 + v * (1 - p_grid)) * s)))
+            dev = np.max([dev,
+                          np.max(np.abs(p_grid * s1_s1 + (1 - p_grid) * s1_s2
+                                        - 2 * SQRT2 * (1 + p_grid) * s)),
+                          np.max(np.abs(p_grid * s2_s1 + (1 - p_grid) * s2_s2
+                                        - 2 * SQRT2 * (1 + v * (1 - p_grid)) * s))])
     _criterion(3, dev <= 1e-10,
                f"mixture closed forms match full simulation on a 200x200 grid "
                f"and 20 bias slices, max deviation {dev:.2e} (tol 1e-10)")
@@ -132,10 +148,10 @@ def test_criterion_5_thresholds():
 def test_criterion_6_window_endpoints():
     w8 = p_window_genuine(PHI_MAX, 0.8)
     w9 = p_window_genuine(PHI_MAX, 0.9)
-    exact_dev = max(abs(w8.lo - (SQRT2 - 1)), abs(w8.hi - (9 - 5 * SQRT2) / 4),
-                    abs(w9.lo - (SQRT2 - 1)), abs(w9.hi - (19 - 10 * SQRT2) / 9))
-    decimal_dev = max(abs(w8.lo - 0.4143), abs(w8.hi - 0.4822),
-                      abs(w9.lo - 0.4143), abs(w9.hi - 0.5397))
+    exact_dev = np.max([abs(w8.lo - (SQRT2 - 1)), abs(w8.hi - (9 - 5 * SQRT2) / 4),
+                        abs(w9.lo - (SQRT2 - 1)), abs(w9.hi - (19 - 10 * SQRT2) / 9)])
+    decimal_dev = np.max([abs(w8.lo - 0.4143), abs(w8.hi - 0.4822),
+                          abs(w9.lo - 0.4143), abs(w9.hi - 0.5397)])
     ok = exact_dev <= 1e-12 and decimal_dev <= 1e-4
     _criterion(6, ok,
                f"window endpoints at phi = pi/4: closed-form deviation "
@@ -170,8 +186,8 @@ def test_criterion_8_channel_properties():
         strategy = CharlieStrategy(random_measurement(), random_measurement(),
                                    InputDistribution(float(rng.random())))
         out = luders_update(rho, strategy)
-        trace_dev = max(trace_dev, abs(np.trace(out).real - 1.0))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(out))))
+        trace_dev = np.max([trace_dev, abs(np.trace(out).real - 1.0)])
+        min_eig = np.min([min_eig, np.min(np.linalg.eigvalsh(out))])
 
     rho = to_density(ghz(0.37))
     idle = CharlieStrategy(identity_measurement(), identity_measurement())

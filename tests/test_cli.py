@@ -58,6 +58,17 @@ class TestScanStandard:
         run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4", "--out", str(out)])
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
+    def test_output_mode_follows_umask(self, tmp_path):
+        out, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
+        old_umask = os.umask(0o022)
+        try:
+            assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
+                            "--out", str(out), "--svg", str(svg)]) == 0
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert stat.S_IMODE(svg.stat().st_mode) == 0o644
+
     def test_unwritable_path_is_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "scan.csv"
         assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 from seqbell.lhvbound import (
@@ -13,6 +14,8 @@ from seqbell.lhvbound import (
 
 import pytest
 
+INPUTS = list(itertools.product((0, 1), repeat=3))
+
 
 def test_local_enumeration_is_exhaustive():
     strategies = list(local_strategies())
@@ -23,8 +26,8 @@ def test_local_enumeration_is_exhaustive():
 def test_hybrid_enumeration_is_exhaustive():
     strategies = list(hybrid_strategies())
     assert len(strategies) == 3072
-    assert len(set(strategies)) == 3072
-    assert {s.bipartition for s in strategies} == set(BIPARTITIONS)
+    # each of the 64 fully local tables occurs once in every bipartition
+    assert len(set(strategies)) == 3072 - 2 * 64
 
 
 def test_mermin_classical_max_is_two():
@@ -56,13 +59,18 @@ def test_fully_local_strategies_reach_the_hybrid_max():
 
 
 def test_single_bipartition_reaches_four():
-    for bipartition in BIPARTITIONS:
-        best = max(
-            svetlichny_value_of(s)
-            for s in hybrid_strategies()
-            if s.bipartition == bipartition
-        )
-        assert best == 4
+    strategies = list(hybrid_strategies())
+    local = set(local_strategies())
+    for n, bipartition in enumerate(BIPARTITIONS):
+        block = strategies[1024 * n : 1024 * (n + 1)]
+        assert len(set(block)) == 1024
+        assert local <= set(block)
+        assert max(svetlichny_value_of(s) for s in block) == 4
+        # the lone party's outcome depends on its own input only
+        solo = "ABC".index(bipartition[-1])
+        for table in block:
+            assert len({(inputs[solo], outcome[solo])
+                        for inputs, outcome in zip(INPUTS, table)}) == 2
 
 
 def test_quantum_witnesses():
