@@ -1,14 +1,14 @@
 """Tripartite correlators and the Mermin / Svetlichny inequality values.
 
-The two inequalities are fixed sign combinations of correlators
-<A_x B_y C_z>. Their coefficient tables live here so that the quantum
-evaluation (this module) and the classical-bound enumeration share a
-single definition of each expression.
+A setting is six +-1 observables, one per party and input:
+``((A0, A1), (B0, B1), (C0, C1))``, each a 2x2 array that squares to the
+identity (the identity itself allowed). The two inequalities are fixed
+sign combinations of correlators <A_x B_y C_z>. Their coefficient tables
+live here so that the quantum evaluation (this module) and the
+classical-bound enumeration share a single definition of each expression.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,31 +38,18 @@ SVETLICHNY_CLASSICAL_BOUND = 4.0
 _IMAG_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TripartiteSettings:
-    """One +-1 observable per party and input (identity allowed)."""
+Settings = tuple[tuple[np.ndarray, np.ndarray], ...]  # ((A0, A1), (B0, B1), (C0, C1))
 
-    a0: np.ndarray
-    a1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
 
-    def __post_init__(self):
-        for name in ("a0", "a1", "b0", "b1", "c0", "c1"):
-            o = getattr(self, name)
+def check_settings(settings: Settings) -> Settings:
+    """Return ``settings`` if each of its six observables is 2x2 and squares to I."""
+    for party, pair in zip("abc", settings, strict=True):
+        for x, o in zip((0, 1), pair, strict=True):
             if o.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got {o.shape}")
+                raise ValueError(f"{party}{x} must be 2x2, got {o.shape}")
             if not np.max(np.abs(o @ o - identity(2))) <= 1e-12:
-                raise ValueError(f"{name} does not square to the identity")
-
-    def observable(self, x: int, y: int, z: int) -> tuple[np.ndarray, ...]:
-        return (
-            (self.a0, self.a1)[x],
-            (self.b0, self.b1)[y],
-            (self.c0, self.c1)[z],
-        )
+                raise ValueError(f"{party}{x} does not square to the identity")
+    return settings
 
 
 def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -76,18 +63,16 @@ def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) ->
     return float(value.real)
 
 
-def _inequality_value(rho, settings: TripartiteSettings, terms) -> float:
-    return sum(
-        coeff * expectation(rho, *settings.observable(x, y, z))
-        for (x, y, z), coeff in terms
-    )
+def _inequality_value(rho, settings: Settings, terms) -> float:
+    a, b, c = settings
+    return sum(coeff * expectation(rho, a[x], b[y], c[z]) for (x, y, z), coeff in terms)
 
 
-def mermin_value(rho: np.ndarray, settings: TripartiteSettings) -> float:
+def mermin_value(rho: np.ndarray, settings: Settings) -> float:
     """Mermin combination; exceeds 2 only for standard tripartite nonlocality."""
     return _inequality_value(rho, settings, MERMIN_TERMS)
 
 
-def svetlichny_value(rho: np.ndarray, settings: TripartiteSettings) -> float:
+def svetlichny_value(rho: np.ndarray, settings: Settings) -> float:
     """Svetlichny combination; exceeds 4 only for genuine tripartite nonlocality."""
     return _inequality_value(rho, settings, SVETLICHNY_TERMS)

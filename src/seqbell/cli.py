@@ -86,7 +86,8 @@ def grid_to_csv(grid: FeasibilityGrid) -> str:
         phi_col = _fmt(phi)
         for p_col, value1, value2, flag in zip(p_cols, row1.tolist(), row2.tolist(), flags):
             lines.append(f"{phi_col},{p_col},{_fmt(value1)},{_fmt(value2)},{'1' if flag else '0'}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def grid_to_svg(grid: FeasibilityGrid) -> str:

@@ -1,8 +1,9 @@
 """State update for a measurement on the third qubit.
 
-A sequential observer on qubit C draws an input z in {0, 1} (uniformly, or
-with a bias), measures, discards the outcome, and hands the averaged
-post-measurement state to the next observer:
+A sequential observer on qubit C draws an input z in {0, 1}, z = 0 with
+probability ``prob_z0`` (1/2 when unbiased), measures with that input's
+effect pair, discards the outcome, and hands the averaged post-measurement
+state to the next observer:
 
     rho' = sum_z q(z) sum_c (I (x) I (x) E_{c|z}) rho (I (x) I (x) E_{c|z})
 
@@ -13,41 +14,12 @@ matrix square root is implemented anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .cmatrix import identity, kron
-from .qstate import DichotomicMeasurement
+from .qstate import EffectPair
 
 _TRACE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class InputDistribution:
-    """Probability of input z = 0; z = 1 gets the complement."""
-
-    prob_z0: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.prob_z0 <= 1.0:
-            raise ValueError(f"prob_z0={self.prob_z0} outside [0, 1]")
-
-    @property
-    def prob_z1(self) -> float:
-        return 1.0 - self.prob_z0
-
-
-UNBIASED = InputDistribution(0.5)
-
-
-@dataclass(frozen=True)
-class CharlieStrategy:
-    """Per-input measurements for one observer on the third qubit."""
-
-    meas_z0: DichotomicMeasurement
-    meas_z1: DichotomicMeasurement
-    inputs: InputDistribution = field(default=UNBIASED)
 
 
 def embed_third(e: np.ndarray) -> np.ndarray:
@@ -58,14 +30,20 @@ def embed_third(e: np.ndarray) -> np.ndarray:
     return kron(identity(4), e)
 
 
-def luders_update(rho: np.ndarray, strategy: CharlieStrategy) -> np.ndarray:
-    """Average post-measurement state after one observer's measurement."""
+def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
+                  prob_z0: float = 0.5) -> np.ndarray:
+    """Average post-measurement state after one observer's measurement.
+
+    ``measurements`` holds the effect pair for input z = 0 and for z = 1.
+    """
+    if not 0.0 <= prob_z0 <= 1.0:
+        raise ValueError(f"prob_z0={prob_z0} outside [0, 1]")
     out = np.zeros_like(rho)
-    weights = (strategy.inputs.prob_z0, strategy.inputs.prob_z1)
-    for q, meas in zip(weights, (strategy.meas_z0, strategy.meas_z1)):
+    weights = (prob_z0, 1.0 - prob_z0)
+    for q, meas in zip(weights, measurements, strict=True):
         if q == 0.0:
             continue
-        for effect in (meas.effect0, meas.effect1):
+        for effect in meas:
             e8 = embed_third(effect)
             out += q * (e8 @ rho @ e8)
     drift = abs(np.trace(out) - np.trace(rho))

@@ -6,22 +6,24 @@ Conventions used throughout the package:
   so |000> is index 0 and |111> is index 7. This matches the operator
   ordering A (x) B (x) C used when evaluating correlators.
 * Angles are radians everywhere.
-* A dichotomic measurement assigns outcome +1 to ``effect0`` and -1 to
-  ``effect1``; the identity measurement (effect0 = I, effect1 = 0) is the
-  degenerate member of the same family, so downstream code never needs a
-  special case for it.
+* A dichotomic measurement is its effect pair ``(effect0, effect1)`` of
+  2x2 arrays: ``effect0`` for outcome +1, ``effect1`` for -1. Its
+  observable is ``effect0 - effect1``. The identity measurement ``(I, 0)``
+  is the degenerate member of the same family, so downstream code never
+  needs a special case for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cmatrix import DEFAULT_TOL, identity, is_hermitian, is_idempotent, zeros
 
 PHI_MAX = math.pi / 4
+
+EffectPair = tuple[np.ndarray, np.ndarray]  # (effect for +1, effect for -1)
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -75,33 +77,20 @@ def bloch_obs(nx: float, ny: float, nz: float) -> np.ndarray:
     return nx * _PAULI["x"] + ny * _PAULI["y"] + nz * _PAULI["z"]
 
 
-@dataclass(frozen=True)
-class DichotomicMeasurement:
-    """A +-1-outcome measurement given by effects for outcome +1 and -1.
-
-    Both effects must be idempotent Hermitian (projective, or the
-    identity/zero pair) and sum to the identity.
-    """
-
-    effect0: np.ndarray
-    effect1: np.ndarray
-
-    def __post_init__(self):
-        for name, e in (("effect0", self.effect0), ("effect1", self.effect1)):
-            if e.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got {e.shape}")
-            if not is_hermitian(e) or not is_idempotent(e):
-                raise ValueError(f"{name} is not an idempotent Hermitian effect")
-        if np.max(np.abs(self.effect0 + self.effect1 - identity(2))) > DEFAULT_TOL:
-            raise ValueError("effects do not sum to the identity")
-
-    @property
-    def observable(self) -> np.ndarray:
-        """effect0 - effect1; the identity measurement yields I."""
-        return self.effect0 - self.effect1
+def check_effects(effects: EffectPair) -> EffectPair:
+    """Return ``(effect0, effect1)`` if both are 2x2 idempotent Hermitian and sum to I."""
+    effect0, effect1 = effects
+    for name, e in (("effect0", effect0), ("effect1", effect1)):
+        if e.shape != (2, 2):
+            raise ValueError(f"{name} must be 2x2, got {e.shape}")
+        if not is_hermitian(e) or not is_idempotent(e):
+            raise ValueError(f"{name} is not an idempotent Hermitian effect")
+    if not np.max(np.abs(effect0 + effect1 - identity(2))) <= DEFAULT_TOL:
+        raise ValueError("effects do not sum to the identity")
+    return effects
 
 
-def projective_from_observable(o: np.ndarray) -> DichotomicMeasurement:
+def projective_from_observable(o: np.ndarray) -> EffectPair:
     """Spectral measurement of a genuine +-1 observable: effects (I +- o)/2.
 
     The input must square to the identity and be traceless; for the
@@ -110,16 +99,16 @@ def projective_from_observable(o: np.ndarray) -> DichotomicMeasurement:
     o = np.asarray(o, dtype=complex)
     if o.shape != (2, 2):
         raise ValueError(f"observable must be 2x2, got {o.shape}")
-    if np.max(np.abs(o @ o - identity(2))) > DEFAULT_TOL:
+    if not np.max(np.abs(o @ o - identity(2))) <= DEFAULT_TOL:
         raise ValueError("observable does not square to the identity")
-    if abs(np.trace(o)) > DEFAULT_TOL:
+    if not abs(np.trace(o)) <= DEFAULT_TOL:
         raise ValueError(
             "observable is not traceless; use identity_measurement() for the identity"
         )
     half = identity(2) / 2
-    return DichotomicMeasurement(effect0=half + o / 2, effect1=half - o / 2)
+    return check_effects((half + o / 2, half - o / 2))
 
 
-def identity_measurement() -> DichotomicMeasurement:
+def identity_measurement() -> EffectPair:
     """The trivial measurement: outcome +1 with certainty, state untouched."""
-    return DichotomicMeasurement(effect0=identity(2), effect1=zeros(2))
+    return check_effects((identity(2), zeros(2)))

@@ -37,11 +37,12 @@ from typing import Callable
 from .bell import (
     MERMIN_CLASSICAL_BOUND,
     SVETLICHNY_CLASSICAL_BOUND,
-    TripartiteSettings,
+    Settings,
+    check_settings,
     mermin_value,
     svetlichny_value,
 )
-from .luders import UNBIASED, CharlieStrategy, InputDistribution, luders_update
+from .luders import luders_update
 from .qstate import (
     bloch_obs,
     check_phi,
@@ -67,17 +68,17 @@ class Scenario:
     function, when called, so every call goes through the module's names.
     """
 
-    alice_bob: Callable[[], tuple]  # (A0, A1, B0, B1)
+    alice_bob: Callable[[], tuple]  # ((A0, A1), (B0, B1))
     strategy1: Callable[[], tuple]  # Charlie_1's (C0, C1); Charlie_2 always uses it
     strategy2: Callable[[], tuple]  # Charlie_1's (C0, C1) under strategy 2
-    value: Callable[[object, TripartiteSettings], float]  # (rho, settings) -> value
+    value: Callable[[object, Settings], float]  # (rho, settings) -> value
     bound: float  # classical bound of the inequality
     closed: Callable  # (sin 2phi, p, v) -> (value1, value2), p may be an array
 
 
 SCENARIOS = {
     "standard": Scenario(
-        alice_bob=lambda: (pauli("x"), pauli("y"), -pauli("y"), pauli("x")),
+        alice_bob=lambda: ((pauli("x"), pauli("y")), (-pauli("y"), pauli("x"))),
         strategy1=lambda: (pauli("x"), pauli("y")),
         strategy2=lambda: (pauli("x"), None),
         value=lambda rho, settings: mermin_value(rho, settings),
@@ -85,8 +86,8 @@ SCENARIOS = {
         closed=lambda s, p, v: ((2 * p + 2) * s, (3 - p) * s),
     ),
     "genuine": Scenario(
-        alice_bob=lambda: (pauli("x"), pauli("y"), bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0),
-                           bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0)),
+        alice_bob=lambda: ((pauli("x"), pauli("y")), (bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0),
+                                                       bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0))),
         strategy1=lambda: (-pauli("y"), pauli("x")),
         strategy2=lambda: (None, pauli("x")),
         value=lambda rho, settings: svetlichny_value(rho, settings),
@@ -118,27 +119,28 @@ def check_kind(kind: str, v: float | None) -> None:
         check_v(v)
 
 
-def _charlie(pair, inputs: InputDistribution = UNBIASED):
-    """Charlie_1's settings and channel for an observable pair; None is the identity."""
-    settings = [identity_measurement().observable if c is None else c for c in pair]
-    measurements = [identity_measurement() if c is None else projective_from_observable(c)
-                    for c in pair]
-    return settings, CharlieStrategy(*measurements, inputs)
+def _charlie(pair):
+    """Charlie_1's observables and measurement pair; None is the identity, observable I - 0."""
+    measurements = tuple(identity_measurement() if c is None else projective_from_observable(c)
+                         for c in pair)
+    observables = tuple(effect0 - effect1 if c is None else c
+                        for c, (effect0, effect1) in zip(pair, measurements))
+    return observables, measurements
 
 
 def _branch_values(scenario: Scenario, phi: float, prob_z0: float):
     """(first1, second1, first2, second2); strategy 2 draws z = 0 with ``prob_z0``."""
     rho = to_density(ghz(phi))
-    alice_bob = scenario.alice_bob()
-    charlie1, strat1 = _charlie(scenario.strategy1())
-    charlie2, strat2 = _charlie(scenario.strategy2(), InputDistribution(prob_z0))
-    settings1 = TripartiteSettings(*alice_bob, *charlie1)
-    settings2 = TripartiteSettings(*alice_bob, *charlie2)
+    alice, bob = scenario.alice_bob()
+    charlie1, measurements1 = _charlie(scenario.strategy1())
+    charlie2, measurements2 = _charlie(scenario.strategy2())
+    settings1 = check_settings((alice, bob, charlie1))
+    settings2 = check_settings((alice, bob, charlie2))
     return (
         scenario.value(rho, settings1),
-        scenario.value(luders_update(rho, strat1), settings1),
+        scenario.value(luders_update(rho, measurements1), settings1),
         scenario.value(rho, settings2),
-        scenario.value(luders_update(rho, strat2), settings1),
+        scenario.value(luders_update(rho, measurements2, prob_z0), settings1),
     )
 
 

@@ -42,7 +42,7 @@ from .lhvbound import (
     svetlichny_value_of,
     quantum_witness_max,
 )
-from .luders import CharlieStrategy, InputDistribution, embed_third, luders_update
+from .luders import embed_third, luders_update
 from .qstate import (
     PHI_MAX,
     ghz,
@@ -81,7 +81,8 @@ def _worst(*values) -> float:
     return float(np.max([np.max(x) for x in values]))
 
 
-def _random_strategy(rng) -> CharlieStrategy:
+def _random_strategy(rng) -> tuple[tuple, float]:
+    """A random measurement pair and prob_z0, drawn in that order."""
     def one_measurement():
         if rng.random() < 0.25:
             return identity_measurement()
@@ -91,11 +92,7 @@ def _random_strategy(rng) -> CharlieStrategy:
             n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
         )
 
-    return CharlieStrategy(
-        meas_z0=one_measurement(),
-        meas_z1=one_measurement(),
-        inputs=InputDistribution(float(rng.random())),
-    )
+    return (one_measurement(), one_measurement()), float(rng.random())
 
 
 def check_matrix_identities() -> list[Measurement]:
@@ -128,8 +125,7 @@ def check_state_invariants() -> list[Measurement]:
     for obs in (pauli("x"), -pauli("y"),
                 (pauli("x") - pauli("y")) / SQRT2,
                 (pauli("x") + pauli("y")) / SQRT2):
-        meas = projective_from_observable(obs)
-        for e in (meas.effect0, meas.effect1):
+        for e in projective_from_observable(obs):
             bad_effects += not (is_hermitian(e) and is_idempotent(e))
     return [
         ("max deviation", dev, 1e-12),
@@ -145,10 +141,10 @@ def check_channel_properties() -> list[Measurement]:
     for _ in range(1000):
         phi = float(rng.random()) * PHI_MAX
         rho = to_density(ghz(phi))
-        out = luders_update(rho, _random_strategy(rng))
+        out = luders_update(rho, *_random_strategy(rng))
         trace_dev = _worst(trace_dev, abs(np.trace(out).real - 1.0))
         neg_eig = _worst(neg_eig, -np.linalg.eigvalsh(out))
-    do_nothing = CharlieStrategy(identity_measurement(), identity_measurement())
+    do_nothing = (identity_measurement(), identity_measurement())
     rho = to_density(ghz(0.5))
     fixed_dev = _worst(np.abs(luders_update(rho, do_nothing) - rho))
     return [
@@ -166,21 +162,19 @@ def check_channel_closed_forms() -> list[Measurement]:
     proj_x = projective_from_observable(pauli("x"))
     proj_y = projective_from_observable(pauli("y"))
 
-    both = CharlieStrategy(proj_x, proj_y)
+    both = (proj_x, proj_y)
     dev = _worst(np.abs(
         luders_update(rho, both) - (rho / 2 + X @ rho @ X / 4 + Y @ rho @ Y / 4)))
 
-    one = CharlieStrategy(proj_x, identity_measurement())
+    one = (proj_x, identity_measurement())
     dev = _worst(dev, np.abs(luders_update(rho, one) - (3 * rho / 4 + X @ rho @ X / 4)))
 
     for v in (0.3, 0.8):
-        biased = CharlieStrategy(identity_measurement(), proj_x,
-                                 inputs=InputDistribution(v))
+        biased = (identity_measurement(), proj_x)
         expected = (1 + v) / 2 * rho + (1 - v) / 2 * (X @ rho @ X)
-        dev = _worst(dev, np.abs(luders_update(rho, biased) - expected))
+        dev = _worst(dev, np.abs(luders_update(rho, biased, v) - expected))
 
-    half = CharlieStrategy(proj_x, proj_y, inputs=InputDistribution(0.5))
-    dev = _worst(dev, np.abs(luders_update(rho, half) - luders_update(rho, both)))
+    dev = _worst(dev, np.abs(luders_update(rho, both, 0.5) - luders_update(rho, both)))
 
     # Two applications compose to a four-term Pauli mixture on qubit C.
     twice = luders_update(luders_update(rho, both), both)

@@ -28,7 +28,7 @@ from seqbell.lhvbound import (
     mermin_value_of,
     svetlichny_value_of,
 )
-from seqbell.luders import CharlieStrategy, InputDistribution, luders_update
+from seqbell.luders import luders_update
 from seqbell.qstate import (
     PHI_MAX,
     ghz,
@@ -183,14 +183,13 @@ def test_criterion_8_channel_properties():
     min_eig = 1.0
     for _ in range(1000):
         rho = to_density(ghz(float(rng.random()) * PHI_MAX))
-        strategy = CharlieStrategy(random_measurement(), random_measurement(),
-                                   InputDistribution(float(rng.random())))
-        out = luders_update(rho, strategy)
+        measurements = (random_measurement(), random_measurement())
+        out = luders_update(rho, measurements, float(rng.random()))
         trace_dev = np.max([trace_dev, abs(np.trace(out).real - 1.0)])
         min_eig = np.min([min_eig, np.min(np.linalg.eigvalsh(out))])
 
     rho = to_density(ghz(0.37))
-    idle = CharlieStrategy(identity_measurement(), identity_measurement())
+    idle = (identity_measurement(), identity_measurement())
     fixed_dev = float(np.max(np.abs(luders_update(rho, idle) - rho)))
 
     ok = trace_dev <= 1e-12 and min_eig >= -1e-10 and fixed_dev <= 1e-14

@@ -6,12 +6,12 @@ import pytest
 from seqbell.bell import (
     MERMIN_TERMS,
     SVETLICHNY_TERMS,
-    TripartiteSettings,
+    check_settings,
     expectation,
     mermin_value,
     svetlichny_value,
 )
-from seqbell.luders import CharlieStrategy, luders_update
+from seqbell.luders import luders_update
 from seqbell.qstate import bloch_obs, ghz, pauli, projective_from_observable, to_density
 
 SX, SY = pauli("x"), pauli("y")
@@ -31,16 +31,15 @@ def brute_expectation(rho, a, b, c):
 
 
 def standard_settings(c0, c1):
-    return TripartiteSettings(a0=SX, a1=SY, b0=-SY, b1=SX, c0=c0, c1=c1)
+    return check_settings(((SX, SY), (-SY, SX), (c0, c1)))
 
 
 def genuine_settings(c0, c1):
-    return TripartiteSettings(
-        a0=SX, a1=SY,
-        b0=bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0),
-        b1=bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0),
-        c0=c0, c1=c1,
-    )
+    return check_settings((
+        (SX, SY),
+        (bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0), bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0)),
+        (c0, c1),
+    ))
 
 
 class TestExpectation:
@@ -109,9 +108,7 @@ class TestInequalityValues:
 
     def test_mermin_after_update(self):
         settings = standard_settings(c0=SX, c1=SY)
-        strat = CharlieStrategy(
-            projective_from_observable(SX), projective_from_observable(SY)
-        )
+        strat = (projective_from_observable(SX), projective_from_observable(SY))
         for phi in (0.3, math.pi / 4):
             rho2 = luders_update(to_density(ghz(phi)), strat)
             assert mermin_value(rho2, settings) == pytest.approx(
@@ -128,9 +125,7 @@ class TestInequalityValues:
 
     def test_svetlichny_after_update(self):
         settings = genuine_settings(c0=-SY, c1=SX)
-        strat = CharlieStrategy(
-            projective_from_observable(-SY), projective_from_observable(SX)
-        )
+        strat = (projective_from_observable(-SY), projective_from_observable(SX))
         for phi in (0.4, math.pi / 4):
             rho2 = luders_update(to_density(ghz(phi)), strat)
             assert svetlichny_value(rho2, settings) == pytest.approx(
@@ -151,7 +146,7 @@ class TestInequalityValues:
                 n = rng.normal(size=3)
                 n /= np.linalg.norm(n)
                 obs.append(bloch_obs(*n))
-            settings = TripartiteSettings(*obs)
+            settings = check_settings(((obs[0], obs[1]), (obs[2], obs[3]), (obs[4], obs[5])))
             rho = to_density(ghz(float(rng.random()) * math.pi / 4))
             assert abs(mermin_value(rho, settings)) <= 4 + 1e-10
             assert abs(svetlichny_value(rho, settings)) <= 8 + 1e-10
@@ -180,7 +175,7 @@ class TestLinearity:
 
     def test_settings_reject_non_involutive(self):
         with pytest.raises(ValueError):
-            TripartiteSettings(a0=0.5 * SX, a1=SY, b0=SX, b1=SY, c0=SX, c1=SY)
+            check_settings(((0.5 * SX, SY), (SX, SY), (SX, SY)))
 
 
 def _nan_density():
@@ -192,14 +187,16 @@ def _nan_density():
 NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: to_density(np.full(8, np.nan)), ValueError),
-    (lambda: bloch_obs(np.nan, 0.0, 1.0), ValueError),
-    (lambda: TripartiteSettings(a0=NAN_OBS, a1=SY, b0=SX, b1=SY, c0=SX, c1=SY), ValueError),
-    (lambda: luders_update(_nan_density(), CharlieStrategy(
-        projective_from_observable(SX), projective_from_observable(SY))), RuntimeError),
-    (lambda: expectation(_nan_density(), SX, SX, SX), RuntimeError),
-], ids=["to_density", "bloch_obs", "settings", "luders_update", "expectation"])
-def test_nan_fails_kernel_guards(call, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: to_density(np.full(8, np.nan)), ValueError, None),
+    (lambda: bloch_obs(np.nan, 0.0, 1.0), ValueError, None),
+    (lambda: check_settings(((NAN_OBS, SY), (SX, SY), (SX, SY))), ValueError, None),
+    (lambda: luders_update(_nan_density(), (
+        projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, None),
+    (lambda: expectation(_nan_density(), SX, SX, SX), RuntimeError, None),
+    (lambda: projective_from_observable(NAN_OBS), ValueError, "square"),
+], ids=["to_density", "bloch_obs", "settings", "luders_update", "expectation",
+        "projective_from_observable"])
+def test_nan_fails_kernel_guards(call, error, match):
+    with pytest.raises(error, match=match):
         call()

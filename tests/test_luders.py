@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqbell.luders import (
-    CharlieStrategy,
-    InputDistribution,
-    UNBIASED,
-    embed_third,
-    luders_update,
-)
+from seqbell.luders import embed_third, luders_update
 from seqbell.qstate import (
     ghz,
     identity_measurement,
@@ -27,8 +21,8 @@ PROJ_Y = projective_from_observable(pauli("y"))
 
 # Charlie_1's two strategy shapes: both inputs projective, or one input
 # replaced by the identity measurement.
-BOTH_PROJECTIVE = CharlieStrategy(PROJ_X, PROJ_Y)
-ONE_IDENTITY = CharlieStrategy(PROJ_X, identity_measurement())
+BOTH_PROJECTIVE = (PROJ_X, PROJ_Y)
+ONE_IDENTITY = (PROJ_X, identity_measurement())
 
 
 def random_strategy(rng):
@@ -41,17 +35,20 @@ def random_strategy(rng):
             n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
         )
 
-    return CharlieStrategy(one(), one(), InputDistribution(float(rng.random())))
+    return (one(), one()), float(rng.random())
 
 
 def test_input_distribution():
-    d = InputDistribution(0.8)
-    assert d.prob_z1 == pytest.approx(0.2)
-    assert UNBIASED.prob_z0 == 0.5
-    with pytest.raises(ValueError):
-        InputDistribution(1.2)
-    with pytest.raises(ValueError):
-        InputDistribution(-0.1)
+    rho = to_density(ghz(0.5))
+    # z = 1 gets the complement of prob_z0; the default is unbiased.
+    swapped = (identity_measurement(), PROJ_X)
+    assert np.max(np.abs(luders_update(rho, ONE_IDENTITY, 0.8)
+                         - luders_update(rho, swapped, 0.2))) < 1e-14
+    assert np.array_equal(luders_update(rho, BOTH_PROJECTIVE),
+                          luders_update(rho, BOTH_PROJECTIVE, 0.5))
+    for prob_z0 in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            luders_update(rho, BOTH_PROJECTIVE, prob_z0)
 
 
 def test_embed_third_identity():
@@ -96,17 +93,14 @@ def test_update_one_identity_closed_form():
 @pytest.mark.parametrize("v", [0.2, 0.5, 0.8])
 def test_update_biased_identity_closed_form(v):
     rho = to_density(ghz(0.7))
-    strat = CharlieStrategy(
-        identity_measurement(), PROJ_X, inputs=InputDistribution(v)
-    )
+    measurements = (identity_measurement(), PROJ_X)
     expected = (1 + v) / 2 * rho + (1 - v) / 2 * (X8 @ rho @ X8)
-    assert np.max(np.abs(luders_update(rho, strat) - expected)) < 1e-14
+    assert np.max(np.abs(luders_update(rho, measurements, v) - expected)) < 1e-14
 
 
 def test_biased_half_equals_unbiased():
     rho = to_density(ghz(0.3))
-    half = CharlieStrategy(PROJ_X, PROJ_Y, inputs=InputDistribution(0.5))
-    assert np.max(np.abs(luders_update(rho, half)
+    assert np.max(np.abs(luders_update(rho, BOTH_PROJECTIVE, 0.5)
                          - luders_update(rho, BOTH_PROJECTIVE))) < 1e-12
 
 
@@ -124,12 +118,12 @@ def test_trace_and_positivity_preserved():
     rng = np.random.default_rng(21)
     for _ in range(200):
         rho = to_density(ghz(float(rng.random()) * math.pi / 4))
-        out = luders_update(rho, random_strategy(rng))
+        out = luders_update(rho, *random_strategy(rng))
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.min(np.linalg.eigvalsh(out)) > -1e-10
 
 
 def test_identity_strategy_is_fixed_point():
     rho = to_density(ghz(0.4))
-    do_nothing = CharlieStrategy(identity_measurement(), identity_measurement())
+    do_nothing = (identity_measurement(), identity_measurement())
     assert np.max(np.abs(luders_update(rho, do_nothing) - rho)) < 1e-14

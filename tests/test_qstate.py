@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from seqbell.qstate import (
-    DichotomicMeasurement,
     PHI_MAX,
+    check_effects,
     bloch_obs,
     ghz,
     identity_measurement,
@@ -112,29 +112,29 @@ class TestObservables:
 
 class TestMeasurements:
     def test_projective_effects_for_x(self):
-        meas = projective_from_observable(pauli("x"))
-        assert np.allclose(meas.effect0, (I2 + pauli("x")) / 2, atol=1e-15)
-        assert np.allclose(meas.effect1, (I2 - pauli("x")) / 2, atol=1e-15)
+        effect0, effect1 = projective_from_observable(pauli("x"))
+        assert np.allclose(effect0, (I2 + pauli("x")) / 2, atol=1e-15)
+        assert np.allclose(effect1, (I2 - pauli("x")) / 2, atol=1e-15)
 
     def test_projective_effect_for_minus_y(self):
-        meas = projective_from_observable(-pauli("y"))
-        assert np.allclose(meas.effect0, (I2 - pauli("y")) / 2, atol=1e-15)
+        effect0, _ = projective_from_observable(-pauli("y"))
+        assert np.allclose(effect0, (I2 - pauli("y")) / 2, atol=1e-15)
 
     def test_effects_complete_and_projective(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            meas = projective_from_observable(bloch_obs(*n))
-            assert np.max(np.abs(meas.effect0 + meas.effect1 - I2)) < 1e-12
-            for e in (meas.effect0, meas.effect1):
+            effect0, effect1 = projective_from_observable(bloch_obs(*n))
+            assert np.max(np.abs(effect0 + effect1 - I2)) < 1e-12
+            for e in (effect0, effect1):
                 assert np.max(np.abs(e @ e - e)) < 1e-12
                 assert np.max(np.abs(e - e.conj().T)) < 1e-12
 
     def test_observable_round_trip(self):
         o = bloch_obs(0.6, 0.0, 0.8)
-        meas = projective_from_observable(o)
-        assert np.allclose(meas.observable, o, atol=1e-15)
+        effect0, effect1 = projective_from_observable(o)
+        assert np.allclose(effect0 - effect1, o, atol=1e-15)
 
     def test_rejects_identity_like(self):
         with pytest.raises(ValueError):
@@ -145,12 +145,12 @@ class TestMeasurements:
             projective_from_observable(0.5 * pauli("x"))
 
     def test_identity_measurement(self):
-        meas = identity_measurement()
-        assert np.array_equal(meas.effect1, np.zeros((2, 2)))
-        assert np.array_equal(meas.observable, I2)
+        effect0, effect1 = identity_measurement()
+        assert np.array_equal(effect1, np.zeros((2, 2)))
+        assert np.array_equal(effect0 - effect1, I2)
 
     def test_invalid_effects_rejected(self):
         with pytest.raises(ValueError):
-            DichotomicMeasurement(effect0=0.5 * I2, effect1=0.5 * I2)
+            check_effects((0.5 * I2, 0.5 * I2))
         with pytest.raises(ValueError):
-            DichotomicMeasurement(effect0=I2, effect1=I2)
+            check_effects((I2, I2))
