@@ -6,6 +6,9 @@ identity (the identity itself allowed). The two inequalities are fixed
 sign combinations of correlators <A_x B_y C_z>. Their coefficient tables
 live here so that the quantum evaluation (this module) and the
 classical-bound enumeration share a single definition of each expression.
+
+A state ``rho`` may carry leading batch axes (..., 8, 8), giving values of
+the batch shape; the imaginary-residue guard reduces over the batch.
 """
 
 from __future__ import annotations
@@ -52,27 +55,28 @@ def check_settings(settings: Settings) -> Settings:
     return settings
 
 
-def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """<A (x) B (x) C> on rho. Raises if the trace has an imaginary residue."""
-    value = np.trace(rho @ kron(kron(a, b), c))
-    if not abs(value.imag) <= _IMAG_TOL:
+def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """<A (x) B (x) C> on rho, one per batch member. Raises on an imaginary residue."""
+    value = np.trace(rho @ kron(kron(a, b), c), axis1=-2, axis2=-1)
+    residue = np.max(np.abs(value.imag))
+    if not residue <= _IMAG_TOL:
         raise RuntimeError(
-            f"correlator has imaginary part {value.imag:g}; "
+            f"correlator has imaginary part {residue:g}; "
             "an operator upstream is not Hermitian"
         )
-    return float(value.real)
+    return value.real
 
 
-def _inequality_value(rho, settings: Settings, terms) -> float:
+def _inequality_value(rho, settings: Settings, terms):
     a, b, c = settings
     return sum(coeff * expectation(rho, a[x], b[y], c[z]) for (x, y, z), coeff in terms)
 
 
-def mermin_value(rho: np.ndarray, settings: Settings) -> float:
+def mermin_value(rho: np.ndarray, settings: Settings):
     """Mermin combination; exceeds 2 only for standard tripartite nonlocality."""
     return _inequality_value(rho, settings, MERMIN_TERMS)
 
 
-def svetlichny_value(rho: np.ndarray, settings: Settings) -> float:
+def svetlichny_value(rho: np.ndarray, settings: Settings):
     """Svetlichny combination; exceeds 4 only for genuine tripartite nonlocality."""
     return _inequality_value(rho, settings, SVETLICHNY_TERMS)

@@ -151,6 +151,7 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
 
     value1 = np.empty((phi.size, p.size))
     value2 = np.empty((phi.size, p.size))
+    # Per angle, not one branch_arrays call: the benchmark tracer pins these per-angle calls.
     for i, ph in enumerate(phi):
         value1[i, :], value2[i, :] = mix(branch_values(kind, ph, v), p)
 

@@ -10,6 +10,9 @@ state to the next observer:
 All effects here are projectors (or the identity/zero pair), so the square
 root that the general update rule would require is the effect itself; no
 matrix square root is implemented anywhere in the package.
+
+``rho`` may carry leading batch axes (..., 8, 8), one channel applied to
+each member; the trace guard reduces over the batch.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
         for effect in meas:
             e8 = embed_third(effect)
             out += q * (e8 @ rho @ e8)
-    drift = abs(np.trace(out) - np.trace(rho))
+    drift = np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho, axis1=-2, axis2=-1)))
     if not drift <= _TRACE_TOL:
         raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")
     return out

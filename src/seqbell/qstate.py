@@ -6,6 +6,9 @@ Conventions used throughout the package:
   so |000> is index 0 and |111> is index 7. This matches the operator
   ordering A (x) B (x) C used when evaluating correlators.
 * Angles are radians everywhere.
+* States may carry leading batch axes, one state per angle: ``ghz`` of N
+  angles is (N, 8), its density (N, 8, 8). Guards reduce over the batch,
+  NaN-failing, so one bad member rejects the whole batch.
 * A dichotomic measurement is its effect pair ``(effect0, effect1)`` of
   2x2 arrays: ``effect0`` for outcome +1, ``effect1`` for -1. Its
   observable is ``effect0 - effect1``. The identity measurement ``(I, 0)``
@@ -40,33 +43,33 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def check_phi(phi: float) -> None:
-    """Reject a state angle outside the closed interval [0, pi/4], or NaN.
+def check_phi(phi) -> None:
+    """Reject a state angle, or any angle of an array, outside [0, pi/4] or NaN.
 
     Angles are rejected rather than wrapped.
     """
-    if not 0.0 <= phi <= PHI_MAX:
+    if not (0.0 <= np.min(phi) and np.max(phi) <= PHI_MAX):
         raise ValueError(f"phi={phi} outside [0, pi/4]")
 
 
-def ghz(phi: float) -> np.ndarray:
-    """State vector cos(phi)|000> + sin(phi)|111>, phi in [0, pi/4]."""
+def ghz(phi) -> np.ndarray:
+    """State vectors cos(phi)|000> + sin(phi)|111> (math.cos/sin per angle), phi in [0, pi/4]."""
     check_phi(phi)
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = math.cos(phi)
-    amps[7] = math.sin(phi)
+    amps = np.zeros(np.shape(phi) + (8,), dtype=complex)
+    amps[..., 0] = np.vectorize(math.cos, otypes=[float])(phi)
+    amps[..., 7] = np.vectorize(math.sin, otypes=[float])(phi)
     return amps
 
 
 def to_density(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 density operator |psi><psi| of a normalized 8-dim state vector."""
+    """Rank-1 density operators |psi><psi| of normalized 8-dim state vectors (..., 8)."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (8,):
-        raise ValueError(f"expected an 8-dim state vector, got shape {psi.shape}")
-    norm2 = float(np.vdot(psi, psi).real)
-    if not abs(norm2 - 1.0) <= DEFAULT_TOL:
+    if psi.shape[-1:] != (8,):
+        raise ValueError(f"expected 8-dim state vectors, got shape {psi.shape}")
+    norm2 = np.sum(psi * psi.conj(), axis=-1).real
+    if not np.max(np.abs(norm2 - 1.0)) <= DEFAULT_TOL:
         raise ValueError(f"state vector not normalized: |psi|^2 = {norm2}")
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def bloch_obs(nx: float, ny: float, nz: float) -> np.ndarray:

@@ -25,7 +25,9 @@ The closed forms for the mixed values are
   S1 = 2 sqrt2 (p + 1) sin 2phi S2 = 2 sqrt2 (1 + v(1 - p)) sin 2phi
 
 and the simulated path must reproduce them to ~1e-10; that agreement is
-the central correctness check of the package.
+the central correctness check of the package. The simulation never
+evaluates them. One kernel simulates a 1-D array of angles (``branch_arrays``),
+bitwise as one angle at a time; each per-angle function is its N = 1 call.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .bell import (
     MERMIN_CLASSICAL_BOUND,
@@ -128,35 +132,41 @@ def _charlie(pair):
     return observables, measurements
 
 
-def _branch_values(scenario: Scenario, phi: float, prob_z0: float):
-    """(first1, second1, first2, second2); strategy 2 draws z = 0 with ``prob_z0``."""
+def _branch_values(scenario: Scenario, phi: np.ndarray, prob_z0: float):
+    """(first1, second1, first2, second2), one array each over the 1-D angles ``phi``.
+
+    Strategy 2 draws z = 0 with ``prob_z0``. Settings 1 act on a stack of three states.
+    """
     rho = to_density(ghz(phi))
     alice, bob = scenario.alice_bob()
     charlie1, measurements1 = _charlie(scenario.strategy1())
     charlie2, measurements2 = _charlie(scenario.strategy2())
     settings1 = check_settings((alice, bob, charlie1))
     settings2 = check_settings((alice, bob, charlie2))
-    return (
-        scenario.value(rho, settings1),
-        scenario.value(luders_update(rho, measurements1), settings1),
-        scenario.value(rho, settings2),
-        scenario.value(luders_update(rho, measurements2, prob_z0), settings1),
-    )
+    states = np.stack([rho, luders_update(rho, measurements1),
+                       luders_update(rho, measurements2, prob_z0)])
+    first1, second1, second2 = scenario.value(states, settings1)
+    return first1, second1, scenario.value(rho, settings2), second2
+
+
+def branch_arrays(kind: str, phi, v: float | None = None):
+    """Simulated (first1, second1, first2, second2) of the named scenario over angles ``phi``."""
+    check_kind(kind, v)
+    return _branch_values(SCENARIOS[kind], np.asarray(phi, dtype=float), 0.5 if v is None else v)
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:
     """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) for one phi."""
-    return _branch_values(SCENARIOS["standard"], phi, 0.5)
+    return tuple(float(x[0]) for x in branch_arrays("standard", [phi]))
 
 
 def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, float]:
     """Simulated Svetlichny values (S1^s1, S2^s1, S1^s2, S2^s2) for one (phi, v)."""
-    check_v(v)
-    return _branch_values(SCENARIOS["genuine"], phi, v)
+    return tuple(float(x[0]) for x in branch_arrays("genuine", [phi], v))
 
 
 def branch_values(kind: str, phi: float, v: float | None = None):
-    """Simulated (first1, second1, first2, second2) of the named scenario."""
+    """Simulated (first1, second1, first2, second2) of the named scenario at one angle."""
     check_kind(kind, v)
     if kind == "standard":
         return standard_branch_values(phi)
@@ -178,13 +188,6 @@ def standard_pair_simulated(phi: float, p: float) -> tuple[float, float]:
     """(M1, M2) from full density-matrix simulation of the strategy mixture."""
     check_p(p)
     return mix(standard_branch_values(phi), p)
-
-
-def standard_pair_closed(phi: float, p: float) -> tuple[float, float]:
-    """(M1, M2) = ((2p + 2) sin 2phi, (3 - p) sin 2phi)."""
-    check_phi(phi)
-    check_p(p)
-    return SCENARIOS["standard"].closed(math.sin(2 * phi), p, None)
 
 
 def genuine_pair_simulated(phi: float, p: float, v: float) -> tuple[float, float]:

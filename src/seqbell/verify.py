@@ -54,17 +54,17 @@ from .qstate import (
 from .scenario import (
     SCENARIOS,
     SQRT2,
-    branch_values,
-    genuine_branch_values,
+    branch_arrays,
     genuine_pair_closed,
     mix,
-    standard_branch_values,
     standard_pair_simulated,
 )
 
 INJECTION_BUMP = 1e-3
 
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 200)
+# math.sin per angle, as the scalar closed forms take it.
+_SIN_2PHI = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
 
 Measurement = tuple[str, float, float]
 
@@ -184,43 +184,28 @@ def check_channel_closed_forms() -> list[Measurement]:
 
 
 def check_mermin_branch_values() -> list[Measurement]:
-    dev = 0.0
-    for phi in _PHI_GRID:
-        s = math.sin(2 * phi)
-        first1, second1, first2, second2 = standard_branch_values(phi)
-        dev = _worst(dev, abs(first1 - 4 * s), abs(second1 - 2 * s),
-                     abs(first2 - 2 * s), abs(second2 - 3 * s))
+    first1, second1, first2, second2 = branch_arrays("standard", _PHI_GRID)
+    dev = _worst(np.abs(first1 - 4 * _SIN_2PHI), np.abs(second1 - 2 * _SIN_2PHI),
+                 np.abs(first2 - 2 * _SIN_2PHI), np.abs(second2 - 3 * _SIN_2PHI))
     return [(f"max deviation over {_PHI_GRID.size} angles", dev, 1e-10)]
 
 
 def check_svetlichny_branch_values() -> list[Measurement]:
-    dev = 0.0
-    for phi in _PHI_GRID:
-        s = math.sin(2 * phi)
-        first1, second1, first2, _ = genuine_branch_values(phi, 0.5)
-        dev = _worst(dev, abs(first1 - 4 * SQRT2 * s), abs(second1 - 2 * SQRT2 * s),
-                     abs(first2 - 2 * SQRT2 * s))
+    first1, second1, first2, _ = branch_arrays("genuine", _PHI_GRID, 0.5)
+    dev = _worst(np.abs(first1 - 4 * SQRT2 * _SIN_2PHI), np.abs(second1 - 2 * SQRT2 * _SIN_2PHI),
+                 np.abs(first2 - 2 * SQRT2 * _SIN_2PHI))
     for v in np.arange(1, 10) / 10:
-        for phi in _PHI_GRID[::10]:
-            s = math.sin(2 * phi)
-            second2 = genuine_branch_values(phi, float(v))[3]
-            dev = _worst(dev, abs(second2 - 2 * SQRT2 * (1 + v) * s))
+        second2 = branch_arrays("genuine", _PHI_GRID[::10], float(v))[3]
+        dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v) * _SIN_2PHI[::10]))
     return [("max deviation", dev, 1e-10)]
 
 
 def _mixture_deviation(kind: str, v: float | None) -> float:
-    """Largest gap between the simulated mixture and the scenario's closed form.
-
-    Taken over 200 angles in [0, pi/4] and 200 mixing probabilities.
-    """
-    closed = SCENARIOS[kind].closed
+    """Largest gap between simulated mixture and closed form, _PHI_GRID x 200 p's."""
     p = np.linspace(0.0, 1.0, 200)
-    dev = 0.0
-    for phi in np.linspace(0.0, PHI_MAX, 200):
-        sim1, sim2 = mix(branch_values(kind, phi, v), p)
-        closed1, closed2 = closed(math.sin(2 * phi), p, v)
-        dev = _worst(dev, np.abs(sim1 - closed1), np.abs(sim2 - closed2))
-    return dev
+    sim1, sim2 = mix([x[:, None] for x in branch_arrays(kind, _PHI_GRID, v)], p)
+    closed1, closed2 = SCENARIOS[kind].closed(_SIN_2PHI[:, None], p, v)
+    return _worst(np.abs(sim1 - closed1), np.abs(sim2 - closed2))
 
 
 def check_mixture_closed_form_standard() -> list[Measurement]:

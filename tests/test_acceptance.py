@@ -38,11 +38,9 @@ from seqbell.qstate import (
     to_density,
 )
 from seqbell.scenario import (
-    genuine_branch_values,
+    branch_arrays,
     genuine_pair_closed,
     genuine_pair_simulated,
-    standard_branch_values,
-    standard_pair_closed,
     standard_pair_simulated,
 )
 
@@ -55,67 +53,61 @@ def _criterion(num: int, ok: bool, description: str) -> None:
     assert ok, f"criterion {num} failed: {description}"
 
 
+def _sines(phi):
+    return np.array([math.sin(2 * ph) for ph in phi])
+
+
 def test_criterion_1_mermin_strategy_values():
-    dev = 0.0
-    for phi in PHI_GRID:
-        s = math.sin(2 * phi)
-        m1_s1, m2_s1, m1_s2, m2_s2 = standard_branch_values(phi)
-        dev = np.max([dev, abs(m1_s1 - 4 * s), abs(m2_s1 - 2 * s),
-                      abs(m1_s2 - 2 * s), abs(m2_s2 - 3 * s)])
+    s = _sines(PHI_GRID)
+    m1_s1, m2_s1, m1_s2, m2_s2 = branch_arrays("standard", PHI_GRID)
+    dev = np.max([np.abs(m1_s1 - 4 * s), np.abs(m2_s1 - 2 * s),
+                  np.abs(m1_s2 - 2 * s), np.abs(m2_s2 - 3 * s)])
     _criterion(1, dev <= 1e-10,
                f"simulated Mermin strategy values match 4/2/2/3 sin(2phi) "
                f"on a 200-angle grid, max deviation {dev:.2e} (tol 1e-10)")
 
 
 def test_criterion_1_fails_on_a_nan_branch_value(monkeypatch):
-    def nan_at_one_angle(phi, branches=standard_branch_values):
-        m1_s1, m2_s1, m1_s2, m2_s2 = branches(phi)
-        if phi == PHI_GRID[57]:
-            m1_s2 = math.nan
+    def nan_at_one_angle(*args, branches=branch_arrays):
+        m1_s1, m2_s1, m1_s2, m2_s2 = branches(*args)
+        m1_s2[57] = math.nan
         return m1_s1, m2_s1, m1_s2, m2_s2
 
-    monkeypatch.setattr(sys.modules[__name__], "standard_branch_values", nan_at_one_angle)
+    monkeypatch.setattr(sys.modules[__name__], "branch_arrays", nan_at_one_angle)
     with pytest.raises(AssertionError, match="criterion 1 failed"):
         test_criterion_1_mermin_strategy_values()
 
 
 def test_criterion_2_svetlichny_strategy_values():
-    dev = 0.0
-    for phi in PHI_GRID:
-        s = math.sin(2 * phi)
-        s1_s1, s2_s1, s1_s2, _ = genuine_branch_values(phi, 0.5)
-        dev = np.max([dev, abs(s1_s1 - 4 * SQRT2 * s), abs(s2_s1 - 2 * SQRT2 * s),
-                      abs(s1_s2 - 2 * SQRT2 * s)])
+    s = _sines(PHI_GRID)
+    s1_s1, s2_s1, s1_s2, _ = branch_arrays("genuine", PHI_GRID, 0.5)
+    dev = np.max([np.abs(s1_s1 - 4 * SQRT2 * s), np.abs(s2_s1 - 2 * SQRT2 * s),
+                  np.abs(s1_s2 - 2 * SQRT2 * s)])
     for v in np.arange(1, 10) / 10:
-        for phi in PHI_GRID:
-            s = math.sin(2 * phi)
-            s2_s2 = genuine_branch_values(phi, float(v))[3]
-            dev = np.max([dev, abs(s2_s2 - 2 * SQRT2 * (1 + v) * s)])
+        s2_s2 = branch_arrays("genuine", PHI_GRID, float(v))[3]
+        dev = np.max([dev, np.max(np.abs(s2_s2 - 2 * SQRT2 * (1 + v) * s))])
     _criterion(2, dev <= 1e-10,
                f"simulated Svetlichny strategy values match their closed forms "
                f"for v in 0.1..0.9, max deviation {dev:.2e} (tol 1e-10)")
 
 
 def test_criterion_3_mixture_closed_forms():
+    # Rows are angles, columns mixing probabilities.
     p_grid = np.linspace(0.0, 1.0, 200)
-    dev = 0.0
-    for phi in PHI_GRID:
-        m1_s1, m2_s1, m1_s2, m2_s2 = standard_branch_values(phi)
-        s = math.sin(2 * phi)
-        dev = np.max([dev,
-                      np.max(np.abs(p_grid * m1_s1 + (1 - p_grid) * m1_s2
-                                    - (2 * p_grid + 2) * s)),
-                      np.max(np.abs(p_grid * m2_s1 + (1 - p_grid) * m2_s2
-                                    - (3 - p_grid) * s))])
+    s = _sines(PHI_GRID)[:, None]
+    m1_s1, m2_s1, m1_s2, m2_s2 = (x[:, None] for x in branch_arrays("standard", PHI_GRID))
+    dev = np.max([np.max(np.abs(p_grid * m1_s1 + (1 - p_grid) * m1_s2
+                                - (2 * p_grid + 2) * s)),
+                  np.max(np.abs(p_grid * m2_s1 + (1 - p_grid) * m2_s2
+                                - (3 - p_grid) * s))])
     for v in np.arange(1, 21) / 21:
-        for phi in PHI_GRID:
-            s1_s1, s2_s1, s1_s2, s2_s2 = genuine_branch_values(phi, float(v))
-            s = math.sin(2 * phi)
-            dev = np.max([dev,
-                          np.max(np.abs(p_grid * s1_s1 + (1 - p_grid) * s1_s2
-                                        - 2 * SQRT2 * (1 + p_grid) * s)),
-                          np.max(np.abs(p_grid * s2_s1 + (1 - p_grid) * s2_s2
-                                        - 2 * SQRT2 * (1 + v * (1 - p_grid)) * s))])
+        s1_s1, s2_s1, s1_s2, s2_s2 = (x[:, None]
+                                      for x in branch_arrays("genuine", PHI_GRID, float(v)))
+        dev = np.max([dev,
+                      np.max(np.abs(p_grid * s1_s1 + (1 - p_grid) * s1_s2
+                                    - 2 * SQRT2 * (1 + p_grid) * s)),
+                      np.max(np.abs(p_grid * s2_s1 + (1 - p_grid) * s2_s2
+                                    - 2 * SQRT2 * (1 + v * (1 - p_grid)) * s))])
     _criterion(3, dev <= 1e-10,
                f"mixture closed forms match full simulation on a 200x200 grid "
                f"and 20 bias slices, max deviation {dev:.2e} (tol 1e-10)")

@@ -184,6 +184,13 @@ def _nan_density():
     return rho
 
 
+def _nan_batch():
+    """Three stacked GHZ densities, the middle one with a NaN entry."""
+    rho = to_density(ghz(np.array([0.1, 0.3, 0.5])))
+    rho[1, 0, 0] = np.nan
+    return rho
+
+
 NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
 
 
@@ -195,8 +202,14 @@ NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
         projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, None),
     (lambda: expectation(_nan_density(), SX, SX, SX), RuntimeError, None),
     (lambda: projective_from_observable(NAN_OBS), ValueError, "square"),
+    (lambda: to_density(np.stack([ghz(0.1), np.full(8, np.nan), ghz(0.5)])), ValueError,
+     "normalized"),
+    (lambda: luders_update(_nan_batch(), (
+        projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, "trace"),
+    (lambda: expectation(_nan_batch(), SX, SX, SX), RuntimeError, "imaginary"),
 ], ids=["to_density", "bloch_obs", "settings", "luders_update", "expectation",
-        "projective_from_observable"])
+        "projective_from_observable", "to_density_batch", "luders_update_batch",
+        "expectation_batch"])
 def test_nan_fails_kernel_guards(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -3,19 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from seqbell import bell, scenario
 from seqbell.scenario import (
+    SCENARIOS,
+    branch_arrays,
     check_p,
     check_v,
     genuine_branch_values,
     genuine_pair_closed,
     genuine_pair_simulated,
     standard_branch_values,
-    standard_pair_closed,
     standard_pair_simulated,
 )
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
+
+
+def standard_closed(phi, p):
+    """(M1, M2) from the standard scenario's closed form."""
+    return SCENARIOS["standard"].closed(math.sin(2 * phi), p, None)
 
 
 class TestStandardPairs:
@@ -35,11 +42,11 @@ class TestStandardPairs:
         assert m2 == pytest.approx(2.5, abs=1e-10)
 
     def test_closed_form_examples(self):
-        assert standard_pair_closed(PI4, 1.0) == pytest.approx((4.0, 2.0), abs=1e-12)
+        assert standard_closed(PI4, 1.0) == pytest.approx((4.0, 2.0), abs=1e-12)
         for p in (0.0, 0.3, 1.0):
-            assert standard_pair_closed(0.0, p) == (0.0, 0.0)
+            assert standard_closed(0.0, p) == (0.0, 0.0)
         # (2*0.4 + 2) sin 1 and (3 - 0.4) sin 1, evaluated independently
-        m1, m2 = standard_pair_closed(0.5, 0.4)
+        m1, m2 = standard_closed(0.5, 0.4)
         assert m1 == pytest.approx(2.8 * math.sin(1.0), abs=1e-12)
         assert m2 == pytest.approx(2.6 * math.sin(1.0), abs=1e-12)
 
@@ -47,7 +54,7 @@ class TestStandardPairs:
         for phi in np.linspace(0.0, PI4, 12):
             for p in (0.0, 0.2, 0.5, 0.9, 1.0):
                 sim = standard_pair_simulated(phi, p)
-                closed = standard_pair_closed(phi, p)
+                closed = standard_closed(phi, p)
                 assert sim[0] == pytest.approx(closed[0], abs=1e-10)
                 assert sim[1] == pytest.approx(closed[1], abs=1e-10)
 
@@ -113,7 +120,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             standard_pair_simulated(-0.1, 0.5)
         with pytest.raises(ValueError):
-            standard_pair_closed(PI4 + 0.1, 0.5)
+            genuine_pair_closed(PI4 + 0.1, 0.5, 0.5)
 
     def test_p_range(self):
         with pytest.raises(ValueError):
@@ -140,3 +147,30 @@ class TestValidation:
     def test_branch_value_count(self):
         assert len(standard_branch_values(0.5)) == 4
         assert len(genuine_branch_values(0.5, 0.5)) == 4
+
+
+class TestIndependence:
+    """The simulated branches run through the channel and the correlators,
+    never through the closed forms they are checked against."""
+
+    CASES = (("standard", None), ("genuine", 0.8))
+
+    def test_identity_channel_changes_only_the_second_round(self, monkeypatch):
+        for kind, v in self.CASES:
+            real = branch_arrays(kind, [PI4], v)
+            monkeypatch.setattr(scenario, "luders_update", lambda rho, *args: rho)
+            idle = branch_arrays(kind, [PI4], v)
+            monkeypatch.undo()
+            changed = [not np.array_equal(a, b) for a, b in zip(real, idle)]
+            assert changed == [False, True, False, True], kind
+
+    def test_zero_correlators_change_every_branch(self, monkeypatch):
+        for kind, v in self.CASES:
+            real = branch_arrays(kind, [PI4], v)
+            monkeypatch.setattr(bell, "expectation", lambda rho, a, b, c: np.zeros(rho.shape[:-2]))
+            zero = branch_arrays(kind, [PI4], v)
+            monkeypatch.undo()
+            assert all(not np.array_equal(a, b) for a, b in zip(real, zero)), kind
+
+    def test_kernel_names_no_closed_form(self):
+        assert not {"closed", "sin"} & set(scenario._branch_values.__code__.co_names)

@@ -58,14 +58,14 @@ def test_raising_check_fails_and_others_run(monkeypatch):
 
 
 def test_nan_branch_value_fails_mermin_check(monkeypatch):
-    real = verify.standard_branch_values
-    nan_at = verify._PHI_GRID[57]
+    real = verify.branch_arrays
 
-    def one_nan(phi):
-        first1, second1, first2, second2 = real(phi)
-        return (first1, second1 if phi != nan_at else math.nan, first2, second2)
+    def one_nan(*args):
+        first1, second1, first2, second2 = real(*args)
+        second1[57] = math.nan
+        return first1, second1, first2, second2
 
-    monkeypatch.setattr(verify, "standard_branch_values", one_nan)
+    monkeypatch.setattr(verify, "branch_arrays", one_nan)
     monkeypatch.setattr(verify, "CHECKS", (
         ("mermin-branch-values", verify.check_mermin_branch_values),
     ))
