@@ -1,8 +1,8 @@
 """Kronecker product and structural predicates on small complex matrices.
 
-Everything is a plain ``numpy.ndarray`` of dtype complex128, at most 8x8,
-so nothing is tuned for size. The predicates (hermiticity, idempotency)
-check the effects and observables that the rest of the package builds.
+Everything is a plain ``numpy.ndarray`` of dtype complex128, at most 8x8;
+``kron`` skips ``np.kron``'s general-rank bookkeeping, costly at that size. The
+predicates (hermiticity, idempotency) check what the rest of the package builds.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ def zeros(n: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(a, b)
+    """Kronecker product a (x) b of two matrices: the entrywise products of ``np.kron``."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def _require_square(a: np.ndarray) -> None:

@@ -56,8 +56,8 @@ def ghz(phi) -> np.ndarray:
     """State vectors cos(phi)|000> + sin(phi)|111> (math.cos/sin per angle), phi in [0, pi/4]."""
     check_phi(phi)
     amps = np.zeros(np.shape(phi) + (8,), dtype=complex)
-    amps[..., 0] = np.vectorize(math.cos, otypes=[float])(phi)
-    amps[..., 7] = np.vectorize(math.sin, otypes=[float])(phi)
+    amps[..., 0] = np.frompyfunc(math.cos, 1, 1)(phi)
+    amps[..., 7] = np.frompyfunc(math.sin, 1, 1)(phi)
     return amps
 
 

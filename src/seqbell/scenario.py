@@ -133,20 +133,19 @@ def _charlie(pair):
 
 
 def _branch_values(scenario: Scenario, phi: np.ndarray, prob_z0: float):
-    """(first1, second1, first2, second2), one array each over the 1-D angles ``phi``.
-
-    Strategy 2 draws z = 0 with ``prob_z0``. Settings 1 act on a stack of three states.
-    """
+    """(first1, second1, first2, second2) over 1-D ``phi``; strategy 2's z = 0 has ``prob_z0``."""
     rho = to_density(ghz(phi))
     alice, bob = scenario.alice_bob()
     charlie1, measurements1 = _charlie(scenario.strategy1())
     charlie2, measurements2 = _charlie(scenario.strategy2())
     settings1 = check_settings((alice, bob, charlie1))
     settings2 = check_settings((alice, bob, charlie2))
-    states = np.stack([rho, luders_update(rho, measurements1),
-                       luders_update(rho, measurements2, prob_z0)])
-    first1, second1, second2 = scenario.value(states, settings1)
-    return first1, second1, scenario.value(rho, settings2), second2
+    return (
+        scenario.value(rho, settings1),
+        scenario.value(luders_update(rho, measurements1), settings1),
+        scenario.value(rho, settings2),
+        scenario.value(luders_update(rho, measurements2, prob_z0), settings1),
+    )
 
 
 def branch_arrays(kind: str, phi, v: float | None = None):

@@ -63,8 +63,6 @@ from .scenario import (
 INJECTION_BUMP = 1e-3
 
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 200)
-# math.sin per angle, as the scalar closed forms take it.
-_SIN_2PHI = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
 
 Measurement = tuple[str, float, float]
 
@@ -184,27 +182,30 @@ def check_channel_closed_forms() -> list[Measurement]:
 
 
 def check_mermin_branch_values() -> list[Measurement]:
+    s = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
     first1, second1, first2, second2 = branch_arrays("standard", _PHI_GRID)
-    dev = _worst(np.abs(first1 - 4 * _SIN_2PHI), np.abs(second1 - 2 * _SIN_2PHI),
-                 np.abs(first2 - 2 * _SIN_2PHI), np.abs(second2 - 3 * _SIN_2PHI))
+    dev = _worst(np.abs(first1 - 4 * s), np.abs(second1 - 2 * s),
+                 np.abs(first2 - 2 * s), np.abs(second2 - 3 * s))
     return [(f"max deviation over {_PHI_GRID.size} angles", dev, 1e-10)]
 
 
 def check_svetlichny_branch_values() -> list[Measurement]:
+    s = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
     first1, second1, first2, _ = branch_arrays("genuine", _PHI_GRID, 0.5)
-    dev = _worst(np.abs(first1 - 4 * SQRT2 * _SIN_2PHI), np.abs(second1 - 2 * SQRT2 * _SIN_2PHI),
-                 np.abs(first2 - 2 * SQRT2 * _SIN_2PHI))
+    dev = _worst(np.abs(first1 - 4 * SQRT2 * s), np.abs(second1 - 2 * SQRT2 * s),
+                 np.abs(first2 - 2 * SQRT2 * s))
     for v in np.arange(1, 10) / 10:
         second2 = branch_arrays("genuine", _PHI_GRID[::10], float(v))[3]
-        dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v) * _SIN_2PHI[::10]))
+        dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v) * s[::10]))
     return [("max deviation", dev, 1e-10)]
 
 
 def _mixture_deviation(kind: str, v: float | None) -> float:
     """Largest gap between simulated mixture and closed form, _PHI_GRID x 200 p's."""
     p = np.linspace(0.0, 1.0, 200)
+    s = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
     sim1, sim2 = mix([x[:, None] for x in branch_arrays(kind, _PHI_GRID, v)], p)
-    closed1, closed2 = SCENARIOS[kind].closed(_SIN_2PHI[:, None], p, v)
+    closed1, closed2 = SCENARIOS[kind].closed(s[:, None], p, v)
     return _worst(np.abs(sim1 - closed1), np.abs(sim2 - closed2))
 
 

@@ -44,6 +44,18 @@ def test_kron_matches_entrywise_definition():
     assert np.max(np.abs(kron(a, b) - brute_kron(a, b))) < 1e-14
 
 
+def test_kron_equals_numpy_kron_bitwise():
+    # the same entrywise products as np.kron, so kernel values stay bit for bit
+    rng = np.random.default_rng(11)
+    for (ra, ca), (rb, cb) in (((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 3), (3, 2))):
+        a = rng.normal(size=(ra, ca)) + 1j * rng.normal(size=(ra, ca))
+        b = rng.normal(size=(rb, cb)) + 1j * rng.normal(size=(rb, cb))
+        for x, y in ((a, b), (a.real, b), (a, identity(rb))):
+            got, want = kron(x, y), np.kron(x, y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_triple_kron_flips_all_three_bits():
     # (sx (x) sx (x) sx) |000> = |111>, checked against the loop oracle
     xxx = brute_kron(brute_kron(SX, SX), SX)

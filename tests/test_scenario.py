@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -174,3 +175,57 @@ class TestIndependence:
 
     def test_kernel_names_no_closed_form(self):
         assert not {"closed", "sin"} & set(scenario._branch_values.__code__.co_names)
+
+
+class TestPinnedValues:
+    """Branch values as float hex, computed once with the one-angle-at-a-time
+    kernel that preceded the array kernel. The array kernel must keep every
+    operation in its order, so any reordering shows here."""
+
+    # (kind, v, phi) -> (first1, second1, first2, second2)
+    PINNED = {
+        ("standard", None, 0.0): ("0x0.0p+0",) * 4,
+        ("genuine", 0.8, 0.0): ("0x0.0p+0",) * 4,
+        ("standard", None, 0.3): ("0x1.2118d17a54158p+1", "0x1.2118d17a54158p+0",
+                                  "0x1.2118d17a54158p+0", "0x1.b1a53a377e204p+0"),
+        ("genuine", 0.8, 0.3): ("0x1.98d8464808a34p+1", "0x1.98d8464808a34p+0",
+                                "0x1.98d8464808a34p+0", "0x1.6ff5d8da6e2c8p+1"),
+        ("standard", None, 0.6137): ("0x1.e21b9225f461dp+1", "0x1.e21b9225f461dp+0",
+                                     "0x1.e21b9225f461dp+0", "0x1.6994ad9c77496p+1"),
+        ("genuine", 0.8, 0.6137): ("0x1.54e6d0c52c28bp+2", "0x1.54e6d0c52c28bp+1",
+                                   "0x1.54e6d0c52c28bp+1", "0x1.32cfbbe4a7be4p+2"),
+        ("standard", None, PI4): ("0x1.0000000000000p+2", "0x1.0000000000000p+1",
+                                  "0x1.0000000000000p+1", "0x1.8000000000000p+1"),
+        ("genuine", 0.8, PI4): ("0x1.6a09e667f3bccp+2", "0x1.6a09e667f3bccp+1",
+                                "0x1.6a09e667f3bccp+1", "0x1.45d5b5c3f4f6cp+2"),
+    }
+
+    def test_single_angle_calls_match_pinned_hex(self):
+        for (kind, v, phi), want in self.PINNED.items():
+            got = scenario.branch_values(kind, phi, v)
+            assert tuple(float(x).hex() for x in got) == want, (kind, phi)
+
+    def test_one_batch_matches_pinned_hex(self):
+        for kind, v in (("standard", None), ("genuine", 0.8)):
+            angles = [phi for k, _, phi in self.PINNED if k == kind]
+            got = branch_arrays(kind, angles, v)
+            for i, phi in enumerate(angles):
+                want = self.PINNED[(kind, v, phi)]
+                assert tuple(float(x[i]).hex() for x in got) == want, (kind, phi)
+
+    # sha256 of one "first1,second1,first2,second2" float-hex line per angle
+    # over 500 angles spaced evenly on [0, pi/4]; reorderings that move only
+    # a few values in a thousand still change these.
+    GRID_DIGESTS = {
+        ("standard", None): "ff2b15049fc95b24b6109065e26e82acae9af6e0d1ba531f6289e346c0593c41",
+        ("genuine", 0.1): "72b94b7a973526ef33fa74e611ce203873ab0c6af900b61bf9c7f189d4f7f2ed",
+        ("genuine", 0.5): "ac2107c7886cc005c07f5ff45a73db301650115b20e87d5ff32789b318ab6d4d",
+        ("genuine", 0.8): "b8ca22044e0d25341d04ab7d27a7c7f332bffa15a93777eadf39f6cd7a5f31b9",
+    }
+
+    def test_grid_matches_pinned_digest(self):
+        phi = np.linspace(0.0, PI4, 500)
+        for (kind, v), want in self.GRID_DIGESTS.items():
+            cols = branch_arrays(kind, phi, v)
+            text = "\n".join(",".join(float(c[i]).hex() for c in cols) for i in range(phi.size))
+            assert hashlib.sha256(text.encode()).hexdigest() == want, (kind, v)
