@@ -46,19 +46,20 @@ Settings = tuple[tuple[np.ndarray, np.ndarray], ...]  # ((A0, A1), (B0, B1), (C0
 
 def check_settings(settings: Settings) -> Settings:
     """Return ``settings`` if each of its six observables is 2x2 and squares to I."""
+    eye = identity(2)
     for party, pair in zip("abc", settings, strict=True):
         for x, o in zip((0, 1), pair, strict=True):
             if o.shape != (2, 2):
                 raise ValueError(f"{party}{x} must be 2x2, got {o.shape}")
-            if not np.max(np.abs(o @ o - identity(2))) <= 1e-12:
+            if not np.abs(o @ o - eye).max() <= 1e-12:
                 raise ValueError(f"{party}{x} does not square to the identity")
     return settings
 
 
 def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """<A (x) B (x) C> on rho, one per batch member. Raises on an imaginary residue."""
-    value = np.trace(rho @ kron(kron(a, b), c), axis1=-2, axis2=-1)
-    residue = np.max(np.abs(value.imag))
+    value = (rho @ kron(kron(a, b), c)).trace(axis1=-2, axis2=-1)
+    residue = np.abs(value.imag).max()
     if not residue <= _IMAG_TOL:
         raise RuntimeError(
             f"correlator has imaginary part {residue:g}; "

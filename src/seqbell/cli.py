@@ -32,9 +32,9 @@ from .feasibility import (
 from .lhvbound import (
     hybrid_strategies,
     local_strategies,
-    mermin_classical_max,
+    mermin_value_of,
     quantum_witness_max,
-    svetlichny_classical_max,
+    svetlichny_value_of,
 )
 from .qstate import PHI_MAX
 from .scenario import check_v
@@ -44,8 +44,8 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 # Largest scan, in grid cells: 16x the default 500x500 grid. Peak memory
-# is about 289 MB at 1M cells and grows linearly, so a scan at the cap
-# needs about 1.1 GB.
+# of scan-standard is about 165 MB at 1M cells and 300 MB at 2M, growing
+# linearly, so a scan at the cap needs about 0.6 GB.
 MAX_SCAN_CELLS = 4_000_000
 
 
@@ -75,17 +75,22 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def grid_to_csv(grid: FeasibilityGrid) -> str:
-    if grid.v is None:
-        lines = ["phi,p,value1,value2,double_violation"]
-        v_col = ""
-    else:
-        lines = ["phi,p,v,value1,value2,double_violation"]
-        v_col = "," + _fmt(grid.v)
-    p_cols = [_fmt(p) + v_col for p in grid.p]
+    """The grid as CSV text, phi-major, ending in a newline.
+
+    Each phi row block is one ``%`` call on a template built once per grid. It
+    spells out the p and v columns (``_fmt`` text holds no ``%``) and has ``%s``,
+    ``%.12g`` (the text of ``_fmt``) and ``%d`` slots for phi, values and flag.
+    """
+    v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
+    lines = [f"phi,p{v_head},value1,value2,double_violation"]
+    template = "\n".join(f"%s,{_fmt(p)}{v_col},%.12g,%.12g,%d" for p in grid.p)
+    values = [None] * (4 * grid.p.size)
     for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        phi_col = _fmt(phi)
-        for p_col, value1, value2, flag in zip(p_cols, row1.tolist(), row2.tolist(), flags):
-            lines.append(f"{phi_col},{p_col},{_fmt(value1)},{_fmt(value2)},{'1' if flag else '0'}")
+        values[0::4] = [_fmt(phi)] * grid.p.size
+        values[1::4] = row1.tolist()
+        values[2::4] = row2.tolist()
+        values[3::4] = flags.tolist()
+        lines.append(template % tuple(values))
     lines.append("")  # the trailing newline, without a second copy of the text
     return "\n".join(lines)
 
@@ -119,26 +124,20 @@ def grid_to_svg(grid: FeasibilityGrid) -> str:
     parts.append(f'<text x="{left}" y="16" font-family="sans-serif" '
                  f'font-size="13">{title}</text>')
 
-    # One rect per contiguous flagged run in each phi column.
+    # One rect per contiguous flagged run in each phi column. On the flags padded
+    # with False, changes come in pairs j, j_stop: a run of p indices j..j_stop-1.
+    padded = np.pad(grid.flagged, ((0, 0), (1, 1)))
     for i, phi in enumerate(grid.phi):
-        flags = grid.flagged[i]
-        j = 0
-        while j < flags.size:
-            if not flags[j]:
-                j += 1
-                continue
-            j_end = j
-            while j_end + 1 < flags.size and flags[j_end + 1]:
-                j_end += 1
-            x0 = sx(phi - phi_step / 2)
-            x1 = sx(phi + phi_step / 2)
-            y0 = sy(grid.p[j_end] + p_step / 2)
+        edges = np.flatnonzero(np.diff(padded[i])).tolist()
+        x0 = sx(phi - phi_step / 2)
+        x1 = sx(phi + phi_step / 2)
+        for j, j_stop in zip(edges[0::2], edges[1::2]):
+            y0 = sy(grid.p[j_stop - 1] + p_step / 2)
             y1 = sy(grid.p[j] - p_step / 2)
             parts.append(
                 f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
                 f'height="{y1 - y0:.2f}" fill="#7fb3d5"/>'
             )
-            j = j_end + 1
 
     # Closed-form window boundary curves.
     for pick in (lambda w: w.lo, lambda w: w.hi):
@@ -222,14 +221,14 @@ def cmd_windows(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    mermin_max = mermin_classical_max()
-    svet_max = svetlichny_classical_max()
+    local = [mermin_value_of(s) for s in local_strategies()]
+    hybrid = [svetlichny_value_of(s) for s in hybrid_strategies()]
     witness_m = quantum_witness_max("mermin")
     witness_s = quantum_witness_max("svetlichny")
-    print(f"mermin_classical_max = {mermin_max:g} "
-          f"(enumerated over {sum(1 for _ in local_strategies())} local strategies)")
-    print(f"svetlichny_classical_max = {svet_max:g} "
-          f"(enumerated over {sum(1 for _ in hybrid_strategies())} hybrid strategies)")
+    print(f"mermin_classical_max = {float(max(local)):g} "
+          f"(enumerated over {len(local)} local strategies)")
+    print(f"svetlichny_classical_max = {float(max(hybrid)):g} "
+          f"(enumerated over {len(hybrid)} hybrid strategies)")
     print(f"mermin_quantum_witness = {witness_m:g}")
     print(f"svetlichny_quantum_witness ≈ {witness_s:.4f}")
     return 0

@@ -37,10 +37,10 @@ def _require_square(a: np.ndarray) -> None:
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Max-entry deviation from a = a^dagger is at most tol."""
     _require_square(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.abs(a - a.conj().T).max() <= tol)
 
 
 def is_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Max-entry deviation from a^2 = a is at most tol."""
     _require_square(a)
-    return bool(np.max(np.abs(a @ a - a)) <= tol)
+    return bool(np.abs(a @ a - a).max() <= tol)

@@ -49,7 +49,7 @@ def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
         for effect in meas:
             e8 = embed_third(effect)
             out += q * (e8 @ rho @ e8)
-    drift = np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho, axis1=-2, axis2=-1)))
+    drift = np.abs(out.trace(axis1=-2, axis2=-1) - rho.trace(axis1=-2, axis2=-1)).max()
     if not drift <= _TRACE_TOL:
         raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")
     return out

@@ -88,7 +88,7 @@ def check_effects(effects: EffectPair) -> EffectPair:
             raise ValueError(f"{name} must be 2x2, got {e.shape}")
         if not is_hermitian(e) or not is_idempotent(e):
             raise ValueError(f"{name} is not an idempotent Hermitian effect")
-    if not np.max(np.abs(effect0 + effect1 - identity(2))) <= DEFAULT_TOL:
+    if not np.abs(effect0 + effect1 - identity(2)).max() <= DEFAULT_TOL:
         raise ValueError("effects do not sum to the identity")
     return effects
 
@@ -102,9 +102,9 @@ def projective_from_observable(o: np.ndarray) -> EffectPair:
     o = np.asarray(o, dtype=complex)
     if o.shape != (2, 2):
         raise ValueError(f"observable must be 2x2, got {o.shape}")
-    if not np.max(np.abs(o @ o - identity(2))) <= DEFAULT_TOL:
+    if not np.abs(o @ o - identity(2)).max() <= DEFAULT_TOL:
         raise ValueError("observable does not square to the identity")
-    if not abs(np.trace(o)) <= DEFAULT_TOL:
+    if not abs(o.trace()) <= DEFAULT_TOL:
         raise ValueError(
             "observable is not traceless; use identity_measurement() for the identity"
         )

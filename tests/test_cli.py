@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import subprocess
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 import seqbell.cli as cli
+import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
+from seqbell.feasibility import FeasibilityGrid
+from seqbell.qstate import PHI_MAX
 from seqbell.scenario import standard_pair_simulated
 
 
@@ -109,6 +113,100 @@ class TestScanStandard:
         assert "phi (rad)" in body
 
 
+def reference_csv(grid):
+    """The per-cell CSV writer that the row templates replaced, kept as the reference."""
+    fmt = cli._fmt
+    if grid.v is None:
+        lines = ["phi,p,value1,value2,double_violation"]
+        v_col = ""
+    else:
+        lines = ["phi,p,v,value1,value2,double_violation"]
+        v_col = "," + fmt(grid.v)
+    p_cols = [fmt(p) + v_col for p in grid.p]
+    for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
+        phi_col = fmt(phi)
+        for p_col, value1, value2, flag in zip(p_cols, row1.tolist(), row2.tolist(), flags):
+            lines.append(f"{phi_col},{p_col},{fmt(value1)},{fmt(value2)},{'1' if flag else '0'}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_rects(grid):
+    """The flag-by-flag run walk that the array run finder replaced, as SVG rects."""
+    left, top, plot_w, plot_h = 70, 24, 550, 408
+    phi_step = grid.phi[1] - grid.phi[0] if grid.phi.size > 1 else PHI_MAX
+    p_step = grid.p[1] - grid.p[0] if grid.p.size > 1 else 1.0
+    rects = []
+    for i, phi in enumerate(grid.phi):
+        flags = grid.flagged[i]
+        j = 0
+        while j < flags.size:
+            if not flags[j]:
+                j += 1
+                continue
+            j_end = j
+            while j_end + 1 < flags.size and flags[j_end + 1]:
+                j_end += 1
+            x0 = left + (phi - phi_step / 2) / PHI_MAX * plot_w
+            x1 = left + (phi + phi_step / 2) / PHI_MAX * plot_w
+            y0 = top + (1.0 - (grid.p[j_end] + p_step / 2)) * plot_h
+            y1 = top + (1.0 - (grid.p[j] - p_step / 2)) * plot_h
+            rects.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+                         f'height="{y1 - y0:.2f}" fill="#7fb3d5"/>')
+            j = j_end + 1
+    return rects
+
+
+def hand_grid(p, value1, value2, flagged, v=None):
+    phi = np.array([-0.0, 1e-13, 0.5])[: len(value1)]
+    return FeasibilityGrid(kind="standard" if v is None else "genuine", phi=phi,
+                           p=np.array(p), v=v, value1=np.array(value1),
+                           value2=np.array(value2), flagged=np.array(flagged), bound=2.0)
+
+
+HAND_GRIDS = {
+    "mixed": ([0.0, 1e-13, 0.25, 1.0],
+              [[-0.0, 1e-13, 1.5e20, 2.000000000001], [0.1, -1.5e20, 3.0, 1 / 3]],
+              [[2.5, -0.0, 1e-300, 5e-324], [7.0, 2.0, -2.0, 123456789012345.6]],
+              [[True, False, True, False], [False, False, True, True]]),
+    "one-p": ([0.5], [[1.5e20], [-0.0], [1e-13]], [[-0.0], [1e-13], [1.5e20]],
+              [[True], [False], [True]]),
+    "all-flagged": ([0.0, 1.0], [[2.1, 2.2], [2.3, 2.4]], [[2.5, 2.6], [2.7, 2.8]],
+                    [[True, True], [True, True]]),
+    "none-flagged": ([0.0, 1.0], [[0.1, 0.2]], [[0.3, 0.4]], [[False, False]]),
+}
+
+
+class TestGridWriters:
+    @pytest.mark.parametrize("v", [None, 0.8, 1e-13])
+    @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
+    def test_matches_per_cell_reference(self, name, v):
+        grid = hand_grid(*HAND_GRIDS[name], v=v)
+        assert cli.grid_to_csv(grid) == reference_csv(grid)
+
+    @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
+    def test_svg_runs_match_flag_walk(self, name):
+        grid = hand_grid(*HAND_GRIDS[name])
+        rects = [line for line in cli.grid_to_svg(grid).splitlines() if "#7fb3d5" in line]
+        assert rects == reference_rects(grid)
+
+    # sha256 of the scan outputs at small grids, taken from the per-cell
+    # writer: any change to a byte of the scan text fails here.
+    @pytest.mark.parametrize("args, digests", [
+        (["scan-standard"], {
+            "csv": "a8406af9ffe17e1d75785e0bc920bbd02e3f75ec92625bdc976b94292a55a481",
+            "svg": "0fdceb8b77e0dcd77ccbb78d53f8972607a95c37d36ee78235e5e750c61a26a3"}),
+        (["scan-genuine", "--v", "0.8"], {
+            "csv": "f328e2ea072639e534fae304fc1d9f1257afd0f8813a77a04680f02da3f36399",
+            "svg": "faa691749276a73c473d29014249344d953f95d82de8398ff19a312c80d95aaf"}),
+    ])
+    def test_scan_output_digests(self, tmp_path, args, digests):
+        out, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
+        assert run_cli([*args, "--grid-phi", "40", "--grid-p", "30",
+                        "--out", str(out), "--svg", str(svg)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["csv"]
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digests["svg"]
+
+
 class TestScanGenuine:
     def test_v_column(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -185,6 +283,24 @@ class TestBounds:
         assert "svetlichny_quantum_witness ≈ 5.6569" in out
         assert "64" in out
         assert "3072" in out
+
+    def test_enumerates_each_strategy_once(self, monkeypatch, capsys):
+        seen = []
+
+        def counting(generator):
+            def wrapper():
+                for strategy in generator():
+                    seen.append(strategy)
+                    yield strategy
+            return wrapper
+
+        for name in ("local_strategies", "hybrid_strategies"):
+            wrapped = counting(getattr(lhvbound, name))
+            monkeypatch.setattr(lhvbound, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped)
+        assert run_cli(["bounds"]) == 0
+        assert len(seen) == 64 + 3072
+        assert "(enumerated over 64 local strategies)" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
-"""Property tests: invariants of the channel, the correlators and the batch kernel.
+"""Property tests: invariants of the channel, the correlators, the batch kernel
+and the CSV number format.
 
 Hypothesis draws pure three-qubit states, one measurement per input (a
 projective measurement along a unit Bloch vector, or the identity),
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seqbell.bell import check_settings, expectation, mermin_value, svetlichny_value
+from seqbell.cli import _fmt
 from seqbell.luders import luders_update
 from seqbell.qstate import (
     PHI_MAX,
@@ -121,3 +123,14 @@ def test_bad_angle_anywhere_in_a_batch_is_rejected(phi, index, bad):
         check_phi(phi)
     with pytest.raises(ValueError, match="outside"):
         branch_arrays("standard", phi)
+
+
+# Any double, with the signed zeros, the infinities and NaN drawn explicitly.
+any_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+
+
+@PROPERTY
+@given(any_floats)
+def test_printf_format_matches_csv_formatter(x):
+    # grid_to_csv writes value columns through "%.12g" templates.
+    assert "%.12g" % x == _fmt(x)
