@@ -49,9 +49,6 @@ class Interval:
         hi = min(hi, 1.0)
         return Interval(lo=lo, hi=hi, empty=not lo < hi)
 
-    def contains(self, x: float) -> bool:
-        return not self.empty and self.lo < x < self.hi
-
 
 def _window_sine(phi: float) -> float:
     """sin(2 phi) for a window angle; no window is defined at phi = 0."""
@@ -112,10 +109,6 @@ class FeasibilityGrid:
     flagged: np.ndarray
     bound: float
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value1.shape
-
 
 def scan_grid(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """n_phi angles evenly spaced in (0, pi/4], zero excluded, and n_p p's in [0, 1]."""
@@ -165,7 +158,7 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
 
 def window_membership(grid: FeasibilityGrid) -> np.ndarray:
     """Closed-form window membership for every grid cell."""
-    inside = np.zeros(grid.shape, dtype=bool)
+    inside = np.zeros(grid.value1.shape, dtype=bool)
     for i, ph in enumerate(grid.phi):
         if ph == 0.0:
             continue

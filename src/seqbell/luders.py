@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cmatrix import identity, kron
+from .cmatrix import EYE4, kron
 from .qstate import EffectPair
 
 _TRACE_TOL = 1e-12
@@ -30,7 +30,7 @@ def embed_third(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=complex)
     if e.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got {e.shape}")
-    return kron(identity(4), e)
+    return kron(EYE4, e)
 
 
 def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .cmatrix import DEFAULT_TOL, identity, is_hermitian, is_idempotent, zeros
+from .cmatrix import DEFAULT_TOL, EYE2, identity, is_hermitian, is_idempotent
 
 PHI_MAX = math.pi / 4
 
@@ -46,10 +46,12 @@ def pauli(axis: str) -> np.ndarray:
 def check_phi(phi) -> None:
     """Reject a state angle, or any angle of an array, outside [0, pi/4] or NaN.
 
-    Angles are rejected rather than wrapped.
+    Angles are rejected rather than wrapped; the error names the first bad one.
     """
     if not (0.0 <= np.min(phi) and np.max(phi) <= PHI_MAX):
-        raise ValueError(f"phi={phi} outside [0, pi/4]")
+        flat = np.ravel(phi)
+        i = np.flatnonzero(~((0.0 <= flat) & (flat <= PHI_MAX)))[0]
+        raise ValueError(f"phi={flat[i]} (angle {i} of {flat.size}) outside [0, pi/4]")
 
 
 def ghz(phi) -> np.ndarray:
@@ -68,7 +70,9 @@ def to_density(psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 8-dim state vectors, got shape {psi.shape}")
     norm2 = np.sum(psi * psi.conj(), axis=-1).real
     if not np.max(np.abs(norm2 - 1.0)) <= DEFAULT_TOL:
-        raise ValueError(f"state vector not normalized: |psi|^2 = {norm2}")
+        flat = np.ravel(norm2)
+        i = np.flatnonzero(~(np.abs(flat - 1.0) <= DEFAULT_TOL))[0]
+        raise ValueError(f"state vector {i} of {flat.size} not normalized: |psi|^2 = {flat[i]}")
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
@@ -88,7 +92,7 @@ def check_effects(effects: EffectPair) -> EffectPair:
             raise ValueError(f"{name} must be 2x2, got {e.shape}")
         if not is_hermitian(e) or not is_idempotent(e):
             raise ValueError(f"{name} is not an idempotent Hermitian effect")
-    if not np.abs(effect0 + effect1 - identity(2)).max() <= DEFAULT_TOL:
+    if not np.abs(effect0 + effect1 - EYE2).max() <= DEFAULT_TOL:
         raise ValueError("effects do not sum to the identity")
     return effects
 
@@ -102,16 +106,16 @@ def projective_from_observable(o: np.ndarray) -> EffectPair:
     o = np.asarray(o, dtype=complex)
     if o.shape != (2, 2):
         raise ValueError(f"observable must be 2x2, got {o.shape}")
-    if not np.abs(o @ o - identity(2)).max() <= DEFAULT_TOL:
+    if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
         raise ValueError("observable does not square to the identity")
     if not abs(o.trace()) <= DEFAULT_TOL:
         raise ValueError(
             "observable is not traceless; use identity_measurement() for the identity"
         )
-    half = identity(2) / 2
+    half = EYE2 / 2
     return check_effects((half + o / 2, half - o / 2))
 
 
 def identity_measurement() -> EffectPair:
     """The trivial measurement: outcome +1 with certainty, state untouched."""
-    return check_effects((identity(2), zeros(2)))
+    return check_effects((identity(2), np.zeros((2, 2), dtype=complex)))

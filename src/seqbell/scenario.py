@@ -27,11 +27,13 @@ The closed forms for the mixed values are
 and the simulated path must reproduce them to ~1e-10; that agreement is
 the central correctness check of the package. The simulation never
 evaluates them. One kernel simulates a 1-D array of angles (``branch_arrays``),
-bitwise as one angle at a time; each per-angle function is its N = 1 call.
+bitwise as one angle at a time; each per-angle function is its N = 1 call. Its
+operators are built and checked once per process, on first use, and are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -68,8 +70,9 @@ VIOLATION_MARGIN = 1e-9
 class Scenario:
     """One scenario as data; None in a Charlie pair marks the identity.
 
-    Callable fields build their matrices, or look up their inequality
-    function, when called, so every call goes through the module's names.
+    Callable fields build their matrices (``_operators`` calls them once per
+    process) or look up their inequality function when called, so every call
+    goes through the module's names.
     """
 
     alice_bob: Callable[[], tuple]  # ((A0, A1), (B0, B1))
@@ -132,14 +135,25 @@ def _charlie(pair):
     return observables, measurements
 
 
-def _branch_values(scenario: Scenario, phi: np.ndarray, prob_z0: float):
-    """(first1, second1, first2, second2) over 1-D ``phi``; strategy 2's z = 0 has ``prob_z0``."""
-    rho = to_density(ghz(phi))
+@functools.cache
+def _operators(kind: str):
+    """(settings1, settings2, measurements1, measurements2), checked, then made read-only."""
+    scenario = SCENARIOS[kind]
     alice, bob = scenario.alice_bob()
     charlie1, measurements1 = _charlie(scenario.strategy1())
     charlie2, measurements2 = _charlie(scenario.strategy2())
-    settings1 = check_settings((alice, bob, charlie1))
-    settings2 = check_settings((alice, bob, charlie2))
+    operators = (check_settings((alice, bob, charlie1)), check_settings((alice, bob, charlie2)),
+                 measurements1, measurements2)
+    for operator in (o for group in operators for pair in group for o in pair):
+        operator.setflags(write=False)
+    return operators
+
+
+def _branch_values(kind: str, phi: np.ndarray, prob_z0: float):
+    """(first1, second1, first2, second2) over 1-D ``phi``; strategy 2's z = 0 has ``prob_z0``."""
+    scenario = SCENARIOS[kind]
+    settings1, settings2, measurements1, measurements2 = _operators(kind)
+    rho = to_density(ghz(phi))
     return (
         scenario.value(rho, settings1),
         scenario.value(luders_update(rho, measurements1), settings1),
@@ -151,7 +165,7 @@ def _branch_values(scenario: Scenario, phi: np.ndarray, prob_z0: float):
 def branch_arrays(kind: str, phi, v: float | None = None):
     """Simulated (first1, second1, first2, second2) of the named scenario over angles ``phi``."""
     check_kind(kind, v)
-    return _branch_values(SCENARIOS[kind], np.asarray(phi, dtype=float), 0.5 if v is None else v)
+    return _branch_values(kind, np.asarray(phi, dtype=float), 0.5 if v is None else v)
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqbell.feasibility import (
+    FeasibilityGrid,
     Interval,
     p_window_genuine,
     p_window_standard,
@@ -115,11 +116,46 @@ class TestInterval:
         assert Interval.clamped(0.8, 2.0).hi == 1.0
         assert Interval.clamped(0.9, 0.2).empty
 
-    def test_contains(self):
-        w = Interval.clamped(0.2, 0.8)
-        assert w.contains(0.5)
-        assert not w.contains(0.2)  # open interval
-        assert not Interval.clamped(0.9, 0.1).contains(0.5)
+
+def hand_grid(flagged=None):
+    """A 20x20 standard grid with the given flags and no values."""
+    phi, p = phi_grid(20), np.linspace(0.0, 1.0, 20)
+    blank = np.zeros((phi.size, p.size))
+    return FeasibilityGrid("standard", phi, p, None, blank, blank, flagged, 2.0)
+
+
+class TestWindowDisagreements:
+    """Flags equal to the closed-form windows, with one cell flipped by hand."""
+
+    def cells(self, inside, interior):
+        """Cells (i, j) whose 3x3 neighborhood agrees with them (or not)."""
+        rows, cols = inside.shape
+        return [(i, j) for i in range(1, rows - 1) for j in range(1, cols - 1)
+                if (inside[i - 1 : i + 2, j - 1 : j + 2] == inside[i, j]).all() == interior]
+
+    def flipped(self, inside, cell):
+        flagged = inside.copy()
+        flagged[cell] = not flagged[cell]
+        return hand_grid(flagged)
+
+    def test_matching_flags_count_zero(self):
+        inside = window_membership(hand_grid())
+        assert inside.any() and not inside.all()
+        assert scan_window_disagreements(hand_grid(inside)) == 0
+
+    def test_flipped_interior_cell_counts_once(self):
+        inside = window_membership(hand_grid())
+        interior = self.cells(inside, interior=True)
+        for want in (True, False):  # one cell inside the window, one outside
+            cell = next(c for c in interior if inside[c] == want)
+            assert scan_window_disagreements(self.flipped(inside, cell)) == 1, cell
+
+    def test_flipped_boundary_cell_counts_zero(self):
+        inside = window_membership(hand_grid())
+        boundary = self.cells(inside, interior=False)
+        assert boundary
+        for cell in boundary:
+            assert scan_window_disagreements(self.flipped(inside, cell)) == 0, cell
 
 
 class TestScan:
@@ -193,7 +229,7 @@ class TestScan:
         for i, phi in enumerate(grid.phi):
             w = p_window_standard(float(phi))
             for j, p in enumerate(grid.p):
-                assert inside[i, j] == w.contains(float(p))
+                assert inside[i, j] == (not w.empty and w.lo < p < w.hi)
 
     def test_validation(self):
         good_phi = phi_grid(4)

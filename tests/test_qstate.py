@@ -74,6 +74,18 @@ class TestToDensity:
             to_density(np.ones(4, dtype=complex))
 
 
+def test_batch_errors_name_the_first_bad_member():
+    phi = np.linspace(0.0, PHI_MAX, 500)
+    phi[[123, 321]] = np.nan
+    with pytest.raises(ValueError, match=r"^phi=nan \(angle 123 of 500\) outside \[0, pi/4\]$"):
+        ghz(phi)
+    psi = ghz(phi[:4])
+    psi[2] *= 2.0
+    with pytest.raises(ValueError,
+                       match=r"^state vector 2 of 4 not normalized: \|psi\|\^2 = 4\.0$"):
+        to_density(psi)
+
+
 class TestObservables:
     def test_pauli_x_convention(self):
         assert np.array_equal(pauli("x"), np.array([[0, 1], [1, 0]]))

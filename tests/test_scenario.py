@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +178,52 @@ class TestIndependence:
 
     def test_kernel_names_no_closed_form(self):
         assert not {"closed", "sin"} & set(scenario._branch_values.__code__.co_names)
+
+
+class TestOperators:
+    """Each scenario's operators are built and checked once per process, on first use."""
+
+    def test_import_builds_no_operator(self):
+        # A fresh interpreter in which every qstate constructor raises.
+        code = (
+            "import seqbell.qstate as q\n"
+            "def refuse(*args): raise AssertionError('operator built at import')\n"
+            "for name in ('pauli', 'bloch_obs', 'projective_from_observable',\n"
+            "             'identity_measurement', 'ghz', 'to_density'):\n"
+            "    setattr(q, name, refuse)\n"
+            "import seqbell.scenario\n"
+            "assert seqbell.scenario._operators.cache_info().currsize == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(scenario.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_two_angles_build_once(self, monkeypatch):
+        built = []
+        real = scenario.projective_from_observable
+        monkeypatch.setattr(scenario, "projective_from_observable",
+                            lambda o: built.append(o) or real(o))
+        scenario._operators.cache_clear()
+        try:
+            genuine_branch_values(0.3, 0.8)
+            genuine_branch_values(0.6, 0.8)
+        finally:
+            scenario._operators.cache_clear()
+        # -Y and X for strategy 1, X for strategy 2 (its other input is the identity)
+        assert len(built) == 3
+
+    def test_cached_operators_are_read_only(self):
+        for kind in SCENARIOS:
+            operators = scenario._operators(kind)
+            arrays = [a for group in operators for pair in group for a in pair]
+            assert len(arrays) == 20
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
+                with pytest.raises(ValueError):
+                    a *= 2
 
 
 class TestPinnedValues:
