@@ -1,19 +1,18 @@
 """Mutation probe: every listed mutant must be killed by Tier-1 or ``seqbell verify``.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory and checks that the unmutated copy passes. It then applies one
 textual mutant at a time (its text must occur exactly once in its file),
 runs the Tier-1 suite and ``seqbell verify`` on the copy, and reports the
 tests and checks that failed. A mutant that neither fails is a survivor.
-Exits 1 if the unmutated copy fails or any mutant survives. Names select a
-subset of the mutants. Standard library only.
+Exits 1 if the unmutated copy fails or any mutant survives. Standard
+library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -79,15 +78,7 @@ def probe(work: Path, env: dict, label: str) -> bool:
     return bool(tests or checks)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
-    selected = [m for m in MUTANTS if not args.names or m.name in args.names]
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="seqbell-mutants-") as tmp:
         work = Path(tmp)
         for name in COPIED:
@@ -103,7 +94,7 @@ def main(argv=None) -> int:
             print("the unmutated copy fails; no mutant can be judged")
             return 1
         survivors = []
-        for mutant in selected:
+        for mutant in MUTANTS:
             target = work / mutant.path
             original = target.read_text()
             count = original.count(mutant.old)
@@ -119,9 +110,9 @@ def main(argv=None) -> int:
                 target.write_text(original)
 
     if survivors:
-        print(f"{len(survivors)} of {len(selected)} mutant(s) survived: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutant(s) survived: {', '.join(survivors)}")
         return 1
-    print(f"all {len(selected)} mutant(s) killed")
+    print(f"all {len(MUTANTS)} mutant(s) killed")
     return 0
 
 
