@@ -34,13 +34,13 @@ def _require_square(a: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Max-entry deviation from a = a^dagger is at most tol."""
+def is_hermitian(a: np.ndarray) -> bool:
+    """Max-entry deviation from a = a^dagger is at most DEFAULT_TOL."""
     _require_square(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+    return bool(np.abs(a - a.conj().T).max() <= DEFAULT_TOL)
 
 
-def is_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Max-entry deviation from a^2 = a is at most tol."""
+def is_idempotent(a: np.ndarray) -> bool:
+    """Max-entry deviation from a^2 = a is at most DEFAULT_TOL."""
     _require_square(a)
-    return bool(np.abs(a @ a - a).max() <= tol)
+    return bool(np.abs(a @ a - a).max() <= DEFAULT_TOL)

@@ -20,7 +20,7 @@ import math
 from typing import Iterator
 
 from .bell import MERMIN_TERMS, SVETLICHNY_TERMS
-from .scenario import genuine_pair_simulated, standard_pair_simulated
+from .scenario import pair_simulated
 
 BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
 
@@ -88,7 +88,7 @@ def quantum_witness_max(kind: str) -> float:
     """
     phi = math.pi / 4
     if kind == "mermin":
-        return standard_pair_simulated(phi, 1.0)[0]
+        return pair_simulated("standard", phi, 1.0)[0]
     if kind == "svetlichny":
-        return genuine_pair_simulated(phi, 1.0, 0.5)[0]
+        return pair_simulated("genuine", phi, 1.0, 0.5)[0]
     raise ValueError(f"unknown inequality kind {kind!r}")

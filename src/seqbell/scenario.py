@@ -197,21 +197,15 @@ def mix(branches, p) -> tuple:
     return p * first1 + (1 - p) * first2, p * second1 + (1 - p) * second2
 
 
-def standard_pair_simulated(phi: float, p: float) -> tuple[float, float]:
-    """(M1, M2) from full density-matrix simulation of the strategy mixture."""
+def pair_simulated(kind: str, phi: float, p: float, v: float | None = None) -> tuple[float, float]:
+    """(value1, value2) from full density-matrix simulation of the strategy mixture."""
     check_p(p)
-    return mix(standard_branch_values(phi), p)
+    return mix(branch_values(kind, phi, v), p)
 
 
-def genuine_pair_simulated(phi: float, p: float, v: float) -> tuple[float, float]:
-    """(S1, S2) from full density-matrix simulation of the strategy mixture."""
-    check_p(p)
-    return mix(genuine_branch_values(phi, v), p)
-
-
-def genuine_pair_closed(phi: float, p: float, v: float) -> tuple[float, float]:
-    """(S1, S2) = (2 sqrt2 (p+1) sin 2phi, 2 sqrt2 (1 + v(1-p)) sin 2phi)."""
+def pair_closed(kind: str, phi: float, p: float, v: float | None = None) -> tuple[float, float]:
+    """(value1, value2) from the scenario's closed forms, without simulation."""
+    check_kind(kind, v)
     check_phi(phi)
     check_p(p)
-    check_v(v)
-    return SCENARIOS["genuine"].closed(math.sin(2 * phi), p, v)
+    return SCENARIOS[kind].closed(math.sin(2 * phi), p, v)

@@ -23,8 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
-from .cmatrix import identity, is_hermitian, is_idempotent
+from .cmatrix import identity, is_hermitian, is_idempotent, kron
 from .feasibility import (
+    _neighborhood_constant,
     p_window_genuine,
     phi_threshold_genuine,
     phi_threshold_standard,
@@ -32,6 +33,7 @@ from .feasibility import (
     scan_grid,
     scan_window_disagreements,
     v_threshold_genuine,
+    window_membership,
 )
 from .lhvbound import (
     hybrid_strategies,
@@ -55,9 +57,9 @@ from .scenario import (
     SCENARIOS,
     SQRT2,
     branch_arrays,
-    genuine_pair_closed,
     mix,
-    standard_pair_simulated,
+    pair_closed,
+    pair_simulated,
 )
 
 INJECTION_BUMP = 1e-3
@@ -101,13 +103,12 @@ def check_matrix_identities() -> list[Measurement]:
     for a in alphabet:
         for b in alphabet:
             for c in alphabet:
-                dev = _worst(dev, np.abs(np.kron(np.kron(a, b), c)
-                                         - np.kron(a, np.kron(b, c))))
+                dev = _worst(dev, np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))
     for _ in range(50):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         dev = _worst(dev, abs(np.trace(a @ b) - np.trace(b @ a)),
-                     np.abs(np.kron(a, b).conj().T - np.kron(a.conj().T, b.conj().T)))
+                     np.abs(kron(a, b).conj().T - kron(a.conj().T, b.conj().T)))
     return [("max deviation", dev, 1e-12)]
 
 
@@ -221,10 +222,10 @@ def check_mixture_closed_form_genuine() -> list[Measurement]:
 def check_mixing_linearity() -> list[Measurement]:
     dev = 0.0
     for phi in np.linspace(0.0, PHI_MAX, 7):
-        pure1 = standard_pair_simulated(phi, 1.0)
-        pure2 = standard_pair_simulated(phi, 0.0)
+        pure1 = pair_simulated("standard", phi, 1.0)
+        pure2 = pair_simulated("standard", phi, 0.0)
         for p in (0.0, 0.25, 0.5, 0.8, 1.0):
-            mixed = standard_pair_simulated(phi, p)
+            mixed = pair_simulated("standard", phi, p)
             dev = _worst(dev, abs(mixed[0] - (p * pure1[0] + (1 - p) * pure2[0])),
                          abs(mixed[1] - (p * pure1[1] + (1 - p) * pure2[1])))
     return [("max deviation", dev, 1e-12)]
@@ -290,10 +291,12 @@ def check_unbiased_genuine_scan() -> list[Measurement]:
 
 
 def _scan_consistency(grid, threshold: float) -> list[Measurement]:
-    """Scan flags agree with the windows, and flag only angles above threshold."""
+    """Scan flags match the windows off a thin boundary and flag only angles above threshold."""
     flagged_rows = grid.phi[np.any(grid.flagged, axis=1)]
+    interior = _neighborhood_constant(window_membership(grid))
     return [
         ("window mismatches away from the boundary", scan_window_disagreements(grid), 0),
+        ("boundary-exempt share", np.mean(~interior), 0.05),
         (f"flagged angles at or below {threshold:.4f}",
          np.count_nonzero(~(flagged_rows > threshold)), 0),
         ("no flagged angle", int(flagged_rows.size == 0), 0),
@@ -312,7 +315,7 @@ def check_genuine_scan_consistency() -> list[Measurement]:
 
 def check_window_monotonicity() -> list[Measurement]:
     v_grid = np.linspace(0.05, 0.95, 19)
-    s2 = [genuine_pair_closed(0.6, 0.4, float(v))[1] for v in v_grid]
+    s2 = [pair_closed("genuine", 0.6, 0.4, float(v))[1] for v in v_grid]
     return [
         ("second-round value steps not increasing in bias",
          sum(not b > a for a, b in zip(s2, s2[1:])), 0),

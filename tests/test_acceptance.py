@@ -37,12 +37,7 @@ from seqbell.qstate import (
     projective_from_observable,
     to_density,
 )
-from seqbell.scenario import (
-    branch_arrays,
-    genuine_pair_closed,
-    genuine_pair_simulated,
-    standard_pair_simulated,
-)
+from seqbell.scenario import branch_arrays
 
 SQRT2 = math.sqrt(2.0)
 PHI_GRID = np.linspace(0.0, PHI_MAX, 200)

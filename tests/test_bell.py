@@ -177,6 +177,10 @@ class TestLinearity:
         with pytest.raises(ValueError):
             check_settings(((0.5 * SX, SY), (SX, SY), (SX, SY)))
 
+    def test_settings_reject_wrong_shape(self):
+        with pytest.raises(ValueError, match="b1 must be 2x2"):
+            check_settings(((SX, SY), (SX, np.eye(4)), (SX, SY)))
+
 
 def _nan_density():
     rho = to_density(ghz(0.3))

@@ -13,7 +13,7 @@ import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
 from seqbell.feasibility import FeasibilityGrid
 from seqbell.qstate import PHI_MAX
-from seqbell.scenario import standard_pair_simulated
+from seqbell.scenario import pair_simulated
 
 
 def run_cli(args):
@@ -46,7 +46,7 @@ class TestScanStandard:
                  "--out", str(out)])
         for line in out.read_text().splitlines()[1:]:
             phi, p, v1, v2, flag = line.split(",")
-            m1, m2 = standard_pair_simulated(float(phi), float(p))
+            m1, m2 = pair_simulated("standard", float(phi), float(p))
             assert float(v1) == pytest.approx(m1, rel=1e-11, abs=1e-11)
             assert float(v2) == pytest.approx(m2, rel=1e-11, abs=1e-11)
             assert flag in ("0", "1")
@@ -78,6 +78,15 @@ class TestScanStandard:
         assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
                         "--out", str(out)]) == 2
         assert not (tmp_path / "missing").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
+                        "--out", str(tmp_path / "scan.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--svg"])

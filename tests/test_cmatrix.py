@@ -104,8 +104,8 @@ def test_adjoint_distributes_over_kron():
 
 def test_predicates():
     p = (I2 + SX) / 2
-    assert is_idempotent(p, 1e-12)
-    assert not is_idempotent(SX, 1e-12)
+    assert is_idempotent(p)
+    assert not is_idempotent(SX)
     assert is_hermitian(SY)
     assert not is_hermitian(1j * SX)
     with pytest.raises(ValueError):

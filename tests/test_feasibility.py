@@ -15,7 +15,7 @@ from seqbell.feasibility import (
     v_threshold_genuine,
     window_membership,
 )
-from seqbell.scenario import genuine_pair_simulated, standard_pair_simulated
+from seqbell.scenario import pair_simulated
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -163,7 +163,7 @@ class TestScan:
         grid = scan("standard", phi_grid(6), np.linspace(0.0, 1.0, 5))
         for i, phi in enumerate(grid.phi):
             for j, p in enumerate(grid.p):
-                m1, m2 = standard_pair_simulated(float(phi), float(p))
+                m1, m2 = pair_simulated("standard", float(phi), float(p))
                 assert grid.value1[i, j] == m1
                 assert grid.value2[i, j] == m2
 
@@ -171,7 +171,7 @@ class TestScan:
         grid = scan("genuine", phi_grid(5), np.linspace(0.0, 1.0, 4), v=0.8)
         for i, phi in enumerate(grid.phi):
             for j, p in enumerate(grid.p):
-                s1, s2 = genuine_pair_simulated(float(phi), float(p), 0.8)
+                s1, s2 = pair_simulated("genuine", float(phi), float(p), 0.8)
                 assert grid.value1[i, j] == s1
                 assert grid.value2[i, j] == s2
 
@@ -230,6 +230,14 @@ class TestScan:
             w = p_window_standard(float(phi))
             for j, p in enumerate(grid.p):
                 assert inside[i, j] == (not w.empty and w.lo < p < w.hi)
+
+    def test_zero_angle_row_is_outside_every_window(self):
+        p = np.linspace(0.0, 1.0, 7)
+        for grid in (scan("standard", [0.0, PI4 / 2, PI4], p),
+                     scan("genuine", [0.0, PI4 / 2, PI4], p, v=0.9)):
+            inside = window_membership(grid)
+            assert not inside[0].any()
+            assert inside[2].any()
 
     def test_validation(self):
         good_phi = phi_grid(4)

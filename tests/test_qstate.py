@@ -156,6 +156,10 @@ class TestMeasurements:
         with pytest.raises(ValueError):
             projective_from_observable(0.5 * pauli("x"))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="observable must be 2x2"):
+            projective_from_observable(np.eye(4))
+
     def test_identity_measurement(self):
         effect0, effect1 = identity_measurement()
         assert np.array_equal(effect1, np.zeros((2, 2)))
@@ -166,3 +170,5 @@ class TestMeasurements:
             check_effects((0.5 * I2, 0.5 * I2))
         with pytest.raises(ValueError):
             check_effects((I2, I2))
+        with pytest.raises(ValueError, match="effect1 must be 2x2"):
+            check_effects((I2, np.zeros((4, 4))))

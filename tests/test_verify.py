@@ -6,8 +6,10 @@ alone compares (``measured <= tol``, so NaN fails), injects and formats.
 
 import math
 
+import numpy as np
 import pytest
 
+import seqbell.feasibility as feasibility
 import seqbell.verify as verify
 
 
@@ -72,3 +74,18 @@ def test_nan_branch_value_fails_mermin_check(monkeypatch):
     (result,) = verify.run_checks()
     assert not result.passed
     assert "nan" in result.detail
+
+
+def test_all_exempt_window_comparison_fails_scan_consistency(monkeypatch):
+    def no_interior(mask):
+        return np.zeros_like(mask, dtype=bool)
+
+    # Both names, as a broken feasibility._neighborhood_constant would reach both.
+    monkeypatch.setattr(feasibility, "_neighborhood_constant", no_interior)
+    monkeypatch.setattr(verify, "_neighborhood_constant", no_interior)
+    monkeypatch.setattr(verify, "CHECKS", (
+        ("genuine-scan-consistency", verify.check_genuine_scan_consistency),
+    ))
+    (result,) = verify.run_checks()
+    assert not result.passed
+    assert "boundary-exempt share 1 (tol 0.05)" in result.detail

@@ -47,6 +47,14 @@ MUTANTS = (
            "    return same\n", "    return np.zeros_like(same)\n"),
     Mutant("inverted-csv-flag", "src/seqbell/cli.py",
            "values[3::4] = flags.tolist()", "values[3::4] = (~flags).tolist()"),
+    # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
+    Mutant("swapped-channel-weights", "src/seqbell/luders.py",
+           "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)"),
+    # Mermin loses its A0 B0 C1 term,
+    Mutant("dropped-mermin-term", "src/seqbell/bell.py", "    ((0, 0, 1), 1),\n", ""),
+    # and the lone party of a hybrid LHV strategy reads a paired party's input.
+    Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
+           "solo[inputs[k]]", "solo[inputs[i]]"),
 )
 
 
