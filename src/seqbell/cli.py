@@ -44,8 +44,8 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 # Largest scan, in grid cells: 16x the default 500x500 grid. Peak memory
-# of scan-standard is about 165 MB at 1M cells and 300 MB at 2M, growing
-# linearly, so a scan at the cap needs about 0.6 GB.
+# of scan-standard is about 105 MB at 1M cells, 180 MB at 2M and 330 MB at
+# the cap, growing linearly.
 MAX_SCAN_CELLS = 4_000_000
 
 
@@ -54,17 +54,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave no partial file."""
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write via a sibling temp file and rename, so failures leave no partial file.
+
+    The handle is binary, so ``data`` goes out as it is, with no encoded copy.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".seqbell-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             # mkstemp creates the file 0600; give it the mode open() would.
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.write(data)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -74,25 +77,26 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def grid_to_csv(grid: FeasibilityGrid) -> str:
-    """The grid as CSV text, phi-major, ending in a newline.
+def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
+    """The grid as ASCII CSV bytes, phi-major, ending in a newline.
 
-    Each phi row block is one ``%`` call on a template built once per grid. It
-    spells out the p and v columns (``_fmt`` text holds no ``%``) and has ``%s``,
-    ``%.12g`` (the text of ``_fmt``) and ``%d`` slots for phi, values and flag.
+    Each phi row block is one ``%`` call on a bytes template built once per
+    grid and is appended to one buffer, so the text never exists twice. The
+    template spells out the p and v columns (``_fmt`` text holds no ``%``) and
+    has ``%b``, ``%.12g`` (the text of ``_fmt``) and ``%d`` slots for phi,
+    values and flag.
     """
     v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
-    lines = [f"phi,p{v_head},value1,value2,double_violation"]
-    template = "\n".join(f"%s,{_fmt(p)}{v_col},%.12g,%.12g,%d" for p in grid.p)
+    csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
+    template = "".join(f"%b,{_fmt(p)}{v_col},%.12g,%.12g,%d\n" for p in grid.p).encode()
     values = [None] * (4 * grid.p.size)
     for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        values[0::4] = [_fmt(phi)] * grid.p.size
+        values[0::4] = [_fmt(phi).encode()] * grid.p.size
         values[1::4] = row1.tolist()
         values[2::4] = row2.tolist()
         values[3::4] = flags.tolist()
-        lines.append(template % tuple(values))
-    lines.append("")  # the trailing newline, without a second copy of the text
-    return "\n".join(lines)
+        csv += template % tuple(values)
+    return csv
 
 
 def grid_to_svg(grid: FeasibilityGrid) -> str:
@@ -201,7 +205,7 @@ def cmd_scan(args) -> int:
     print(f"wrote {grid.phi.size * grid.p.size} rows to {args.out} "
           f"({flagged} flagged cells)")
     if args.svg:
-        _write_atomic(args.svg, grid_to_svg(grid))
+        _write_atomic(args.svg, grid_to_svg(grid).encode())
         print(f"wrote {args.svg}")
     return 0
 

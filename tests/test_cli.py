@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import seqbell.cli as cli
 import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
-from seqbell.feasibility import FeasibilityGrid
+from seqbell.feasibility import FeasibilityGrid, scan, scan_grid
 from seqbell.qstate import PHI_MAX
 from seqbell.scenario import pair_simulated
 
@@ -190,7 +191,7 @@ class TestGridWriters:
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
     def test_matches_per_cell_reference(self, name, v):
         grid = hand_grid(*HAND_GRIDS[name], v=v)
-        assert cli.grid_to_csv(grid) == reference_csv(grid)
+        assert cli.grid_to_csv(grid) == reference_csv(grid).encode("ascii")
 
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
     def test_svg_runs_match_flag_walk(self, name):
@@ -214,6 +215,38 @@ class TestGridWriters:
                         "--out", str(out), "--svg", str(svg)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["csv"]
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == digests["svg"]
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory it had traced at once above what it started with."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+class TestOutputMemory:
+    def test_csv_is_built_in_one_buffer(self):
+        # Row blocks kept in a list and then joined would hold the text twice,
+        # a peak above 2x the output; one growing buffer stays near 1.3x.
+        grid = scan("genuine", *scan_grid(20, 1000), v=0.9)
+        data, peak = traced_peak(cli.grid_to_csv, grid)
+        assert peak <= 1.5 * len(data)
+
+    def test_atomic_write_makes_no_copy(self, tmp_path):
+        data = b"0123456789abcde\n" * (1 << 19)  # 8 MiB
+        out = tmp_path / "out.csv"
+        _, peak = traced_peak(cli._write_atomic, str(out), data)
+        assert peak <= 1 << 20
+        assert out.read_bytes() == data
 
 
 class TestScanGenuine:

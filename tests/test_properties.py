@@ -134,3 +134,4 @@ any_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan
 def test_printf_format_matches_csv_formatter(x):
     # grid_to_csv writes value columns through "%.12g" templates.
     assert "%.12g" % x == _fmt(x)
+    assert b"%.12g" % x == _fmt(x).encode()

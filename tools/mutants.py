@@ -47,6 +47,8 @@ MUTANTS = (
            "    return same\n", "    return np.zeros_like(same)\n"),
     Mutant("inverted-csv-flag", "src/seqbell/cli.py",
            "values[3::4] = flags.tolist()", "values[3::4] = (~flags).tolist()"),
+    Mutant("swapped-value-columns", "src/seqbell/cli.py",
+           "values[1::4] = row1.tolist()", "values[1::4] = row2.tolist()"),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
            "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)"),
