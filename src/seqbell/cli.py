@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -60,13 +59,10 @@ def _write_atomic(path: str, data: bytes) -> None:
     The handle is binary, so ``data`` goes out as it is, with no encoded copy.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".seqbell-", suffix=".tmp")
+    tmp_path = os.path.join(directory, f".seqbell-{os.urandom(8).hex()}.tmp")
+    handle = open(tmp_path, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+        with handle:
             handle.write(data)
         os.replace(tmp_path, path)
     except BaseException:

@@ -107,7 +107,6 @@ class FeasibilityGrid:
     value1: np.ndarray
     value2: np.ndarray
     flagged: np.ndarray
-    bound: float
 
 
 def scan_grid(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +139,6 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
     _check_samples("phi", phi, 0.0, PHI_MAX)
     _check_samples("p", p, 0.0, 1.0)
     check_kind(kind, v)
-    bound = SCENARIOS[kind].bound
 
     value1 = np.empty((phi.size, p.size))
     value2 = np.empty((phi.size, p.size))
@@ -148,12 +146,10 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
     for i, ph in enumerate(phi):
         value1[i, :], value2[i, :] = mix(branch_values(kind, ph, v), p)
 
-    threshold = bound + VIOLATION_MARGIN
+    threshold = SCENARIOS[kind].bound + VIOLATION_MARGIN
     flagged = (value1 > threshold) & (value2 > threshold)
-    return FeasibilityGrid(
-        kind=kind, phi=phi, p=p, v=v,
-        value1=value1, value2=value2, flagged=flagged, bound=bound,
-    )
+    return FeasibilityGrid(kind=kind, phi=phi, p=p, v=v,
+                           value1=value1, value2=value2, flagged=flagged)
 
 
 def window_membership(grid: FeasibilityGrid) -> np.ndarray:
@@ -163,8 +159,6 @@ def window_membership(grid: FeasibilityGrid) -> np.ndarray:
         if ph == 0.0:
             continue
         window = p_window(grid.kind, ph, grid.v)
-        if window.empty:
-            continue
         inside[i, :] = (window.lo < grid.p) & (grid.p < window.hi)
     return inside
 
@@ -180,12 +174,13 @@ def _neighborhood_constant(mask: np.ndarray) -> np.ndarray:
     return same
 
 
-def scan_window_disagreements(grid: FeasibilityGrid) -> int:
-    """Count flagged/window mismatches away from the window boundary.
+def scan_window_disagreements(grid: FeasibilityGrid) -> tuple[int, float]:
+    """Flagged/window mismatches away from the window boundary, and the exempt share.
 
     Cells within one grid step of the closed-form boundary are exempt:
     strict-inequality classification there is resolution-dependent.
     """
     inside = window_membership(grid)
     interior = _neighborhood_constant(inside)
-    return int(np.count_nonzero(grid.flagged[interior] != inside[interior]))
+    mismatches = int(np.count_nonzero(grid.flagged[interior] != inside[interior]))
+    return mismatches, float(np.mean(~interior))

@@ -25,7 +25,6 @@ import numpy as np
 from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
 from .cmatrix import identity, is_hermitian, is_idempotent, kron
 from .feasibility import (
-    _neighborhood_constant,
     p_window_genuine,
     phi_threshold_genuine,
     phi_threshold_standard,
@@ -33,9 +32,9 @@ from .feasibility import (
     scan_grid,
     scan_window_disagreements,
     v_threshold_genuine,
-    window_membership,
 )
 from .lhvbound import (
+    BIPARTITIONS,
     hybrid_strategies,
     local_strategies,
     mermin_classical_max,
@@ -47,6 +46,7 @@ from .lhvbound import (
 from .luders import embed_third, luders_update
 from .qstate import (
     PHI_MAX,
+    bloch_obs,
     ghz,
     identity_measurement,
     pauli,
@@ -88,9 +88,7 @@ def _random_strategy(rng) -> tuple[tuple, float]:
             return identity_measurement()
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        return projective_from_observable(
-            n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
-        )
+        return projective_from_observable(bloch_obs(*n))
 
     return (one_measurement(), one_measurement()), float(rng.random())
 
@@ -233,7 +231,14 @@ def check_mixing_linearity() -> list[Measurement]:
 
 def check_classical_bounds() -> list[Measurement]:
     local_values = [mermin_value_of(s) for s in local_strategies()]
-    hybrid_values = [svetlichny_value_of(s) for s in hybrid_strategies()]
+    hybrid_values = []
+    lone_reads_pair = 0
+    for n, table in enumerate(hybrid_strategies()):
+        hybrid_values.append(svetlichny_value_of(table))
+        # The lone party k answers alike at every index sharing its input bit.
+        k = "ABC".index(BIPARTITIONS[n // 1024][-1])
+        lone_reads_pair += any(row[k] != table[idx & (4 >> k)][k]
+                               for idx, row in enumerate(table))
     return [
         ("|mermin max - 2|", abs(mermin_classical_max() - 2.0), 0),
         ("|svetlichny max - 4|", abs(svetlichny_classical_max() - 4.0), 0),
@@ -243,6 +248,7 @@ def check_classical_bounds() -> list[Measurement]:
          sum(not (v % 2 == 0 and -4 <= v <= 4) for v in local_values), 0),
         ("hybrid values odd or outside [-8, 8]",
          sum(not (v % 2 == 0 and -8 <= v <= 8) for v in hybrid_values), 0),
+        ("hybrid tables whose lone party reads a paired input", lone_reads_pair, 0),
     ]
 
 
@@ -293,10 +299,10 @@ def check_unbiased_genuine_scan() -> list[Measurement]:
 def _scan_consistency(grid, threshold: float) -> list[Measurement]:
     """Scan flags match the windows off a thin boundary and flag only angles above threshold."""
     flagged_rows = grid.phi[np.any(grid.flagged, axis=1)]
-    interior = _neighborhood_constant(window_membership(grid))
+    mismatches, exempt_share = scan_window_disagreements(grid)
     return [
-        ("window mismatches away from the boundary", scan_window_disagreements(grid), 0),
-        ("boundary-exempt share", np.mean(~interior), 0.05),
+        ("window mismatches away from the boundary", mismatches, 0),
+        ("boundary-exempt share", exempt_share, 0.05),
         (f"flagged angles at or below {threshold:.4f}",
          np.count_nonzero(~(flagged_rows > threshold)), 0),
         ("no flagged angle", int(flagged_rows.size == 0), 0),
@@ -304,8 +310,21 @@ def _scan_consistency(grid, threshold: float) -> list[Measurement]:
 
 
 def check_standard_scan_consistency() -> list[Measurement]:
+    from .cli import grid_to_csv  # here, as cli imports this module
+
     grid = scan("standard", *scan_grid(500, 500))
-    return _scan_consistency(grid, phi_threshold_standard())
+    # At pi/4, p = 0 and p = 1 each put one value exactly on the bound 2.
+    cells = scan("standard", [PHI_MAX], [0.0, 0.5, 1.0])
+    _, _, value1, value2, flags = np.loadtxt(
+        grid_to_csv(cells).decode().splitlines(), delimiter=",", skiprows=1, unpack=True)
+    unread = ((flags != cells.flagged[0])
+              | ~np.isclose(value1, cells.value1[0], rtol=1e-11, atol=0)
+              | ~np.isclose(value2, cells.value2[0], rtol=1e-11, atol=0))
+    return _scan_consistency(grid, phi_threshold_standard()) + [
+        ("misflagged cells at phi = pi/4, p = 0, 1/2, 1",
+         np.count_nonzero(cells.flagged[0] != [False, True, False]), 0),
+        ("CSV cells not read back as written", np.count_nonzero(unread), 0),
+    ]
 
 
 def check_genuine_scan_consistency() -> list[Measurement]:

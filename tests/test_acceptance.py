@@ -190,7 +190,7 @@ def test_criterion_9_scan_window_consistency():
     phi = np.arange(1, 501) / 500 * PHI_MAX
     p = np.linspace(0.0, 1.0, 500)
     grid = scan("standard", phi, p)
-    mismatches = scan_window_disagreements(grid)
+    mismatches, _ = scan_window_disagreements(grid)
     _criterion(9, mismatches == 0,
                f"standard 500x500 scan: {mismatches} flagged/window mismatches "
                f"more than one grid step from the boundary (expect 0)")

@@ -170,7 +170,7 @@ def hand_grid(p, value1, value2, flagged, v=None):
     phi = np.array([-0.0, 1e-13, 0.5])[: len(value1)]
     return FeasibilityGrid(kind="standard" if v is None else "genuine", phi=phi,
                            p=np.array(p), v=v, value1=np.array(value1),
-                           value2=np.array(value2), flagged=np.array(flagged), bound=2.0)
+                           value2=np.array(value2), flagged=np.array(flagged))
 
 
 HAND_GRIDS = {

@@ -121,7 +121,7 @@ def hand_grid(flagged=None):
     """A 20x20 standard grid with the given flags and no values."""
     phi, p = phi_grid(20), np.linspace(0.0, 1.0, 20)
     blank = np.zeros((phi.size, p.size))
-    return FeasibilityGrid("standard", phi, p, None, blank, blank, flagged, 2.0)
+    return FeasibilityGrid("standard", phi, p, None, blank, blank, flagged)
 
 
 class TestWindowDisagreements:
@@ -141,21 +141,21 @@ class TestWindowDisagreements:
     def test_matching_flags_count_zero(self):
         inside = window_membership(hand_grid())
         assert inside.any() and not inside.all()
-        assert scan_window_disagreements(hand_grid(inside)) == 0
+        assert scan_window_disagreements(hand_grid(inside))[0] == 0
 
     def test_flipped_interior_cell_counts_once(self):
         inside = window_membership(hand_grid())
         interior = self.cells(inside, interior=True)
         for want in (True, False):  # one cell inside the window, one outside
             cell = next(c for c in interior if inside[c] == want)
-            assert scan_window_disagreements(self.flipped(inside, cell)) == 1, cell
+            assert scan_window_disagreements(self.flipped(inside, cell))[0] == 1, cell
 
     def test_flipped_boundary_cell_counts_zero(self):
         inside = window_membership(hand_grid())
         boundary = self.cells(inside, interior=False)
         assert boundary
         for cell in boundary:
-            assert scan_window_disagreements(self.flipped(inside, cell)) == 0, cell
+            assert scan_window_disagreements(self.flipped(inside, cell))[0] == 0, cell
 
 
 class TestScan:
@@ -184,7 +184,7 @@ class TestScan:
     def test_standard_double_violation(self):
         grid = scan("standard", [PI4], [0.5])
         assert grid.flagged[0, 0]
-        assert grid.bound == 2.0
+        assert grid.value1[0, 0] > 2.0 and grid.value2[0, 0] > 2.0
         assert grid.value1[0, 0] == pytest.approx(3.0, abs=1e-10)
         assert grid.value2[0, 0] == pytest.approx(2.5, abs=1e-10)
 
@@ -197,11 +197,11 @@ class TestScan:
     def test_genuine_double_violation(self):
         grid = scan("genuine", [PI4], [0.45], v=0.8)
         assert grid.flagged[0, 0]
-        assert grid.bound == 4.0
+        assert grid.value1[0, 0] > 4.0 and grid.value2[0, 0] > 4.0
 
     def test_flags_require_strict_double_violation(self):
         grid = scan("standard", phi_grid(40), np.linspace(0.0, 1.0, 40))
-        above = (grid.value1 > grid.bound + 1e-9) & (grid.value2 > grid.bound + 1e-9)
+        above = (grid.value1 > 2.0 + 1e-9) & (grid.value2 > 2.0 + 1e-9)
         assert np.array_equal(grid.flagged, above)
         assert grid.flagged.any()
         flagged_phi = grid.phi[np.any(grid.flagged, axis=1)]
@@ -219,9 +219,9 @@ class TestScan:
 
     def test_consistency_with_closed_form_windows(self):
         grid = scan("standard", phi_grid(120), np.linspace(0.0, 1.0, 120))
-        assert scan_window_disagreements(grid) == 0
+        assert scan_window_disagreements(grid)[0] == 0
         grid = scan("genuine", phi_grid(90), np.linspace(0.0, 1.0, 90), v=0.9)
-        assert scan_window_disagreements(grid) == 0
+        assert scan_window_disagreements(grid)[0] == 0
 
     def test_membership_matches_windows(self):
         grid = scan("standard", phi_grid(15), np.linspace(0.0, 1.0, 11))

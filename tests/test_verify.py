@@ -4,11 +4,14 @@ A check returns ``(label, measured, tol)`` measurements; ``run_checks``
 alone compares (``measured <= tol``, so NaN fails), injects and formats.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import seqbell.cli as cli
 import seqbell.feasibility as feasibility
 import seqbell.verify as verify
 
@@ -80,12 +83,46 @@ def test_all_exempt_window_comparison_fails_scan_consistency(monkeypatch):
     def no_interior(mask):
         return np.zeros_like(mask, dtype=bool)
 
-    # Both names, as a broken feasibility._neighborhood_constant would reach both.
     monkeypatch.setattr(feasibility, "_neighborhood_constant", no_interior)
-    monkeypatch.setattr(verify, "_neighborhood_constant", no_interior)
     monkeypatch.setattr(verify, "CHECKS", (
         ("genuine-scan-consistency", verify.check_genuine_scan_consistency),
     ))
     (result,) = verify.run_checks()
     assert not result.passed
     assert "boundary-exempt share 1 (tol 0.05)" in result.detail
+
+
+def run_one(monkeypatch, name):
+    monkeypatch.setattr(verify, "CHECKS", tuple((n, fn) for n, fn in verify.CHECKS if n == name))
+    (result,) = verify.run_checks()
+    return result
+
+
+def test_negative_violation_margin_fails_standard_scan_consistency(monkeypatch):
+    monkeypatch.setattr(feasibility, "VIOLATION_MARGIN", -1e-9)
+    result = run_one(monkeypatch, "standard-scan-consistency")
+    assert not result.passed
+    assert "misflagged cells at phi = pi/4, p = 0, 1/2, 1 2 (tol 0)" in result.detail
+
+
+def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
+    real = cli.grid_to_csv
+
+    def inverted(grid):
+        return real(dataclasses.replace(grid, flagged=~grid.flagged))
+
+    monkeypatch.setattr(cli, "grid_to_csv", inverted)
+    result = run_one(monkeypatch, "standard-scan-consistency")
+    assert not result.passed
+    assert "CSV cells not read back as written 3 (tol 0)" in result.detail
+
+
+def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch):
+    def one_table():
+        # AB|C with Charlie answering Alice's input x.
+        yield tuple((1, 1, 1 - 2 * x) for x, _, _ in itertools.product((0, 1), repeat=3))
+
+    monkeypatch.setattr(verify, "hybrid_strategies", one_table)
+    result = run_one(monkeypatch, "classical-bounds")
+    assert not result.passed
+    assert "hybrid tables whose lone party reads a paired input 1 (tol 0)" in result.detail

@@ -1,4 +1,4 @@
-"""Mutation probe: every listed mutant must be killed by Tier-1 or ``seqbell verify``.
+"""Mutation probe: every listed mutant must be killed, most by ``seqbell verify`` itself.
 
     python3 tools/mutants.py
 
@@ -6,9 +6,10 @@ Copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory and checks that the unmutated copy passes. It then applies one
 textual mutant at a time (its text must occur exactly once in its file),
 runs the Tier-1 suite and ``seqbell verify`` on the copy, and reports the
-tests and checks that failed. A mutant that neither fails is a survivor.
-Exits 1 if the unmutated copy fails or any mutant survives. Standard
-library only.
+tests and checks that failed. A mutant that neither fails is a survivor,
+and so is a mutant marked ``verify=True`` that ``verify`` lets through,
+even when a test kills it. Exits 1 if the unmutated copy fails or any
+mutant survives. Standard library only.
 """
 
 from __future__ import annotations
@@ -32,31 +33,36 @@ class Mutant:
     path: str  # relative to the repository root
     old: str
     new: str
+    verify: bool  # whether ``seqbell verify`` alone must kill it
 
 
 MUTANTS = (
     # The simulated path "optimised" into the closed form it is checked against.
+    # Test-only: the closed form equals the simulation, so no value verify sees
+    # changes; TestIndependence owns it.
     Mutant("M1-second2-from-closed-form", "src/seqbell/scenario.py",
            "scenario.value(luders_update(rho, measurements2, prob_z0), settings1),",
-           "scenario.closed(np.sin(2 * phi), 0, prob_z0)[1],"),
+           "scenario.closed(np.sin(2 * phi), 0, prob_z0)[1],", verify=False),
     # Values a hair below the bound count as violations.
     Mutant("M2-negative-violation-margin", "src/seqbell/scenario.py",
-           "VIOLATION_MARGIN = 1e-9", "VIOLATION_MARGIN = -1e-9"),
+           "VIOLATION_MARGIN = 1e-9", "VIOLATION_MARGIN = -1e-9", verify=True),
     # Every cell boundary-exempt, so scan/window disagreements read 0 by construction.
     Mutant("M4-no-interior-cells", "src/seqbell/feasibility.py",
-           "    return same\n", "    return np.zeros_like(same)\n"),
+           "    return same\n", "    return np.zeros_like(same)\n", verify=True),
     Mutant("inverted-csv-flag", "src/seqbell/cli.py",
-           "values[3::4] = flags.tolist()", "values[3::4] = (~flags).tolist()"),
+           "values[3::4] = flags.tolist()", "values[3::4] = (~flags).tolist()", verify=True),
     Mutant("swapped-value-columns", "src/seqbell/cli.py",
-           "values[1::4] = row1.tolist()", "values[1::4] = row2.tolist()"),
+           "values[1::4] = row1.tolist()", "values[1::4] = row2.tolist()", verify=True),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
-           "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)"),
+           "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)",
+           verify=True),
     # Mermin loses its A0 B0 C1 term,
-    Mutant("dropped-mermin-term", "src/seqbell/bell.py", "    ((0, 0, 1), 1),\n", ""),
+    Mutant("dropped-mermin-term", "src/seqbell/bell.py", "    ((0, 0, 1), 1),\n", "",
+           verify=True),
     # and the lone party of a hybrid LHV strategy reads a paired party's input.
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
-           "solo[inputs[k]]", "solo[inputs[i]]"),
+           "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
 )
 
 
@@ -79,13 +85,16 @@ def run_verify(work: Path, env: dict) -> list[str]:
     return failed or ([] if proc.returncode == 0 else [f"exit status {proc.returncode}"])
 
 
-def probe(work: Path, env: dict, label: str) -> bool:
-    """Run both checks on the copy in ``work``, print what failed, return whether anything did."""
+def probe(work: Path, env: dict, label: str) -> tuple[bool, bool]:
+    """Run both checks on the copy in ``work``, print what failed.
+
+    Returns whether Tier-1 failed and whether ``verify`` failed.
+    """
     tests, checks = run_tier1(work, env), run_verify(work, env)
     print(f"{label}: {len(tests)} Tier-1 test(s) and {len(checks)} verify check(s) failed")
     for item in tests + [f"verify {c}" for c in checks]:
         print(f"    {item}")
-    return bool(tests or checks)
+    return bool(tests), bool(checks)
 
 
 def main() -> int:
@@ -100,7 +109,7 @@ def main() -> int:
                 shutil.copy2(src, work / name)
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
-        if probe(work, env, "unmutated"):
+        if any(probe(work, env, "unmutated")):
             print("the unmutated copy fails; no mutant can be judged")
             return 1
         survivors = []
@@ -114,7 +123,8 @@ def main() -> int:
                 continue
             target.write_text(original.replace(mutant.old, mutant.new))
             try:
-                if not probe(work, env, mutant.name):
+                tests_killed, verify_killed = probe(work, env, mutant.name)
+                if not (verify_killed or tests_killed and not mutant.verify):
                     survivors.append(mutant.name)
             finally:
                 target.write_text(original)
