@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cmatrix import EYE2, kron
+from .cmatrix import kron
+from .qstate import check_observable
 
 # ((x, y, z), coefficient) terms. Mermin sums the three single-excitation
 # correlators minus the all-ones one; Svetlichny takes every correlator
@@ -48,10 +49,7 @@ def check_settings(settings: Settings) -> Settings:
     """Return ``settings`` if each of its six observables is 2x2 and squares to I."""
     for party, pair in zip("abc", settings, strict=True):
         for x, o in zip((0, 1), pair, strict=True):
-            if o.shape != (2, 2):
-                raise ValueError(f"{party}{x} must be 2x2, got {o.shape}")
-            if not np.abs(o @ o - EYE2).max() <= 1e-12:
-                raise ValueError(f"{party}{x} does not square to the identity")
+            check_observable(o, f"{party}{x}")
     return settings
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .feasibility import (
     FeasibilityGrid,
+    grid_to_csv,
     p_window,
     p_window_genuine,
     phi_threshold_genuine,
@@ -48,11 +49,6 @@ CHECK_FAILURE = 1
 MAX_SCAN_CELLS = 4_000_000
 
 
-def _fmt(x: float) -> str:
-    """Decimal form capped at 12 significant digits; diffable and reimport-safe."""
-    return f"{x:.12g}"
-
-
 def _write_atomic(path: str, data: bytes) -> None:
     """Write via a sibling temp file and rename, so failures leave no partial file.
 
@@ -71,28 +67,6 @@ def _write_atomic(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
-    """The grid as ASCII CSV bytes, phi-major, ending in a newline.
-
-    Each phi row block is one ``%`` call on a bytes template built once per
-    grid and is appended to one buffer, so the text never exists twice. The
-    template spells out the p and v columns (``_fmt`` text holds no ``%``) and
-    has ``%b``, ``%.12g`` (the text of ``_fmt``) and ``%d`` slots for phi,
-    values and flag.
-    """
-    v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
-    csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
-    template = "".join(f"%b,{_fmt(p)}{v_col},%.12g,%.12g,%d\n" for p in grid.p).encode()
-    values = [None] * (4 * grid.p.size)
-    for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        values[0::4] = [_fmt(phi).encode()] * grid.p.size
-        values[1::4] = row1.tolist()
-        values[2::4] = row2.tolist()
-        values[3::4] = flags.tolist()
-        csv += template % tuple(values)
-    return csv
 
 
 def grid_to_svg(grid: FeasibilityGrid) -> str:
@@ -300,9 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.run is cmd_scan and args.grid_phi * args.grid_p > MAX_SCAN_CELLS:
-        parser.error(f"--grid-phi x --grid-p is {args.grid_phi * args.grid_p} cells, "
-                     f"more than the cap of {MAX_SCAN_CELLS}")
+    if args.run is cmd_scan:
+        if args.grid_phi * args.grid_p > MAX_SCAN_CELLS:
+            parser.error(f"--grid-phi x --grid-p is {args.grid_phi * args.grid_p} cells, "
+                         f"more than the cap of {MAX_SCAN_CELLS}")
+        # Otherwise the SVG would silently replace the CSV just written.
+        if args.svg is not None and os.path.realpath(args.svg) == os.path.realpath(args.out):
+            parser.error(f"--svg and --out name the same file {args.out}")
     try:
         return args.run(args)
     except OSError as exc:

@@ -14,13 +14,9 @@ import numpy as np
 # several orders of magnitude of headroom over this.
 DEFAULT_TOL = 1e-12
 
-# Read-only identities for the hot paths; identity() returns a fresh, writable one.
+# Read-only identities; copy one for a fresh, writable array.
 EYE2, EYE4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
 EYE2.flags.writeable = EYE4.flags.writeable = False
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Double-violation windows, their thresholds, and sampled parameter scans.
+"""Double-violation windows, their thresholds, sampled parameter scans and their CSV.
 
 Closed-form windows for the mixing probability p follow directly from the
 mixture values:
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PHI_MAX, check_phi
+from .qstate import PHI_MAX, check_p, check_phi
 from .scenario import (
     SCENARIOS,
     SQRT2,
@@ -41,13 +41,14 @@ class Interval:
 
     lo: float
     hi: float
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        return not self.lo < self.hi
 
     @staticmethod
     def clamped(lo: float, hi: float) -> "Interval":
-        lo = max(lo, 0.0)
-        hi = min(hi, 1.0)
-        return Interval(lo=lo, hi=hi, empty=not lo < hi)
+        return Interval(lo=max(lo, 0.0), hi=min(hi, 1.0))
 
 
 def _window_sine(phi: float) -> float:
@@ -109,22 +110,38 @@ class FeasibilityGrid:
     flagged: np.ndarray
 
 
+def _fmt(x: float) -> str:
+    """Decimal form capped at 12 significant digits; diffable and reimport-safe."""
+    return f"{x:.12g}"
+
+
+def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
+    """The grid as ASCII CSV bytes, phi-major, ending in a newline.
+
+    Each phi row block is one ``%`` call on a bytes template built once per
+    grid and is appended to one buffer, so the text never exists twice. The
+    template spells out the p and v columns (``_fmt`` text holds no ``%``) and
+    has ``%b``, ``%.12g`` (the text of ``_fmt``) and ``%d`` slots for phi,
+    values and flag.
+    """
+    v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
+    csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
+    template = "".join(f"%b,{_fmt(p)}{v_col},%.12g,%.12g,%d\n" for p in grid.p).encode()
+    values = [None] * (4 * grid.p.size)
+    for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
+        values[0::4] = [_fmt(phi).encode()] * grid.p.size
+        values[1::4] = row1.tolist()
+        values[2::4] = row2.tolist()
+        values[3::4] = flags.tolist()
+        csv += template % tuple(values)
+    return csv
+
+
 def scan_grid(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """n_phi angles evenly spaced in (0, pi/4], zero excluded, and n_p p's in [0, 1]."""
     phi = np.arange(1, n_phi + 1) / n_phi * PHI_MAX
     p = np.linspace(0.0, 1.0, n_p)
     return phi, p
-
-
-def _check_samples(name: str, samples: np.ndarray, lo: float, hi: float) -> None:
-    if samples.size == 0:
-        raise ValueError(f"{name} samples are empty")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{name} samples must be finite")
-    if np.any(np.diff(samples) <= 0):
-        raise ValueError(f"{name} samples must be strictly increasing")
-    if samples[0] < lo or samples[-1] > hi:
-        raise ValueError(f"{name} samples outside [{lo}, {hi}]")
 
 
 def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> FeasibilityGrid:
@@ -136,8 +153,13 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
     """
     phi = np.asarray(phi_samples, dtype=float)
     p = np.asarray(p_samples, dtype=float)
-    _check_samples("phi", phi, 0.0, PHI_MAX)
-    _check_samples("p", p, 0.0, 1.0)
+    for name, samples in (("phi", phi), ("p", p)):
+        if samples.ndim != 1 or samples.size == 0 or np.any(np.diff(samples) <= 0):
+            raise ValueError(f"{name} samples must be a nonempty, strictly increasing 1-D array")
+    # NaN makes the min NaN and an infinity is out of range, so both fail here.
+    check_phi(phi)
+    check_p(p.min())
+    check_p(p.max())
     check_kind(kind, v)
 
     value1 = np.empty((phi.size, p.size))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cmatrix import EYE4, kron
-from .qstate import EffectPair
+from .qstate import EffectPair, check_p
 
 _TRACE_TOL = 1e-12
 
@@ -39,8 +39,7 @@ def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
 
     ``measurements`` holds the effect pair for input z = 0 and for z = 1.
     """
-    if not 0.0 <= prob_z0 <= 1.0:
-        raise ValueError(f"prob_z0={prob_z0} outside [0, 1]")
+    check_p(prob_z0, "prob_z0")
     out = np.zeros_like(rho)
     weights = (prob_z0, 1.0 - prob_z0)
     for q, meas in zip(weights, measurements, strict=True):

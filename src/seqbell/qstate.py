@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .cmatrix import DEFAULT_TOL, EYE2, identity, is_hermitian, is_idempotent
+from .cmatrix import DEFAULT_TOL, EYE2, is_hermitian, is_idempotent
 
 PHI_MAX = math.pi / 4
 
@@ -52,6 +52,12 @@ def check_phi(phi) -> None:
         flat = np.ravel(phi)
         i = np.flatnonzero(~((0.0 <= flat) & (flat <= PHI_MAX)))[0]
         raise ValueError(f"phi={flat[i]} (angle {i} of {flat.size}) outside [0, pi/4]")
+
+
+def check_p(p: float, name: str = "p") -> None:
+    """Reject a probability outside [0, 1] or NaN; a scalar compare, cheap per call."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name}={p} outside [0, 1]")
 
 
 def ghz(phi) -> np.ndarray:
@@ -97,17 +103,22 @@ def check_effects(effects: EffectPair) -> EffectPair:
     return effects
 
 
+def check_observable(o: np.ndarray, name: str = "observable") -> np.ndarray:
+    """Return ``o`` if it is 2x2 and squares to I (a +-1 observable, the identity allowed)."""
+    if o.shape != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got {o.shape}")
+    if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
+        raise ValueError(f"{name} does not square to the identity")
+    return o
+
+
 def projective_from_observable(o: np.ndarray) -> EffectPair:
     """Spectral measurement of a genuine +-1 observable: effects (I +- o)/2.
 
     The input must square to the identity and be traceless; for the
     deterministic identity input use :func:`identity_measurement` instead.
     """
-    o = np.asarray(o, dtype=complex)
-    if o.shape != (2, 2):
-        raise ValueError(f"observable must be 2x2, got {o.shape}")
-    if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
-        raise ValueError("observable does not square to the identity")
+    o = check_observable(np.asarray(o, dtype=complex))
     if not abs(o.trace()) <= DEFAULT_TOL:
         raise ValueError(
             "observable is not traceless; use identity_measurement() for the identity"
@@ -118,4 +129,4 @@ def projective_from_observable(o: np.ndarray) -> EffectPair:
 
 def identity_measurement() -> EffectPair:
     """The trivial measurement: outcome +1 with certainty, state untouched."""
-    return check_effects((identity(2), np.zeros((2, 2), dtype=complex)))
+    return check_effects((EYE2.copy(), np.zeros((2, 2), dtype=complex)))

@@ -51,6 +51,7 @@ from .bell import (
 from .luders import luders_update
 from .qstate import (
     bloch_obs,
+    check_p,
     check_phi,
     ghz,
     identity_measurement,
@@ -102,11 +103,6 @@ SCENARIOS = {
         closed=lambda s, p, v: (2 * SQRT2 * (p + 1) * s, 2 * SQRT2 * (1 + v * (1 - p)) * s),
     ),
 }
-
-
-def check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
 
 
 def check_v(v: float) -> None:

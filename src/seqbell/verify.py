@@ -23,8 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
-from .cmatrix import identity, is_hermitian, is_idempotent, kron
+from .cmatrix import EYE2, is_hermitian, is_idempotent, kron
 from .feasibility import (
+    grid_to_csv,
     p_window_genuine,
     phi_threshold_genuine,
     phi_threshold_standard,
@@ -65,6 +66,7 @@ from .scenario import (
 INJECTION_BUMP = 1e-3
 
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 200)
+_SIN2 = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
 
 Measurement = tuple[str, float, float]
 
@@ -95,7 +97,7 @@ def _random_strategy(rng) -> tuple[tuple, float]:
 
 def check_matrix_identities() -> list[Measurement]:
     rng = np.random.default_rng(11)
-    alphabet = [pauli(ax) for ax in "xyz"] + [identity(2)]
+    alphabet = [pauli(ax) for ax in "xyz"] + [EYE2]
     dev = 0.0
     # Kronecker associativity: exact on the operator alphabet in use.
     for a in alphabet:
@@ -181,30 +183,27 @@ def check_channel_closed_forms() -> list[Measurement]:
 
 
 def check_mermin_branch_values() -> list[Measurement]:
-    s = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
     first1, second1, first2, second2 = branch_arrays("standard", _PHI_GRID)
-    dev = _worst(np.abs(first1 - 4 * s), np.abs(second1 - 2 * s),
-                 np.abs(first2 - 2 * s), np.abs(second2 - 3 * s))
+    dev = _worst(np.abs(first1 - 4 * _SIN2), np.abs(second1 - 2 * _SIN2),
+                 np.abs(first2 - 2 * _SIN2), np.abs(second2 - 3 * _SIN2))
     return [(f"max deviation over {_PHI_GRID.size} angles", dev, 1e-10)]
 
 
 def check_svetlichny_branch_values() -> list[Measurement]:
-    s = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
     first1, second1, first2, _ = branch_arrays("genuine", _PHI_GRID, 0.5)
-    dev = _worst(np.abs(first1 - 4 * SQRT2 * s), np.abs(second1 - 2 * SQRT2 * s),
-                 np.abs(first2 - 2 * SQRT2 * s))
+    dev = _worst(np.abs(first1 - 4 * SQRT2 * _SIN2), np.abs(second1 - 2 * SQRT2 * _SIN2),
+                 np.abs(first2 - 2 * SQRT2 * _SIN2))
     for v in np.arange(1, 10) / 10:
         second2 = branch_arrays("genuine", _PHI_GRID[::10], float(v))[3]
-        dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v) * s[::10]))
+        dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v) * _SIN2[::10]))
     return [("max deviation", dev, 1e-10)]
 
 
 def _mixture_deviation(kind: str, v: float | None) -> float:
     """Largest gap between simulated mixture and closed form, _PHI_GRID x 200 p's."""
     p = np.linspace(0.0, 1.0, 200)
-    s = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
     sim1, sim2 = mix([x[:, None] for x in branch_arrays(kind, _PHI_GRID, v)], p)
-    closed1, closed2 = SCENARIOS[kind].closed(s[:, None], p, v)
+    closed1, closed2 = SCENARIOS[kind].closed(_SIN2[:, None], p, v)
     return _worst(np.abs(sim1 - closed1), np.abs(sim2 - closed2))
 
 
@@ -310,8 +309,6 @@ def _scan_consistency(grid, threshold: float) -> list[Measurement]:
 
 
 def check_standard_scan_consistency() -> list[Measurement]:
-    from .cli import grid_to_csv  # here, as cli imports this module
-
     grid = scan("standard", *scan_grid(500, 500))
     # At pi/4, p = 0 and p = 1 each put one value exactly on the bound 2.
     cells = scan("standard", [PHI_MAX], [0.0, 0.5, 1.0])

@@ -12,7 +12,7 @@ import pytest
 import seqbell.cli as cli
 import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
-from seqbell.feasibility import FeasibilityGrid, scan, scan_grid
+from seqbell.feasibility import FeasibilityGrid, _fmt, scan, scan_grid
 from seqbell.qstate import PHI_MAX
 from seqbell.scenario import pair_simulated
 
@@ -101,6 +101,13 @@ class TestScanStandard:
         assert exc.value.code == 2
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
+    def test_svg_and_csv_to_the_same_file_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
+                     "--out", str(tmp_path / "x.csv"), "--svg", f"{tmp_path}/./x.csv"])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_internal_value_error_is_check_failure(self, tmp_path, monkeypatch, capsys):
         def broken_scan(*args, **kwargs):
             raise ValueError("bad internal state")
@@ -125,7 +132,7 @@ class TestScanStandard:
 
 def reference_csv(grid):
     """The per-cell CSV writer that the row templates replaced, kept as the reference."""
-    fmt = cli._fmt
+    fmt = _fmt
     if grid.v is None:
         lines = ["phi,p,value1,value2,double_violation"]
         v_col = ""

@@ -258,6 +258,12 @@ class TestScan:
         with pytest.raises(ValueError):
             scan("genuine", good_phi, good_p, v=1.0)
 
+    def test_rejects_samples_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            scan("standard", np.array([[0.5]]), [0.0, 1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            scan("standard", [0.5], np.array([[0.0, 1.0]]))
+
     def test_standard_rejects_v(self):
         with pytest.raises(ValueError):
             scan("standard", [PI4], [0.5], v=0.8)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seqbell.bell import check_settings, expectation, mermin_value, svetlichny_value
-from seqbell.cli import _fmt
+from seqbell.feasibility import _fmt
 from seqbell.luders import luders_update
 from seqbell.qstate import (
     PHI_MAX,

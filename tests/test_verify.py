@@ -7,11 +7,13 @@ alone compares (``measured <= tol``, so NaN fails), injects and formats.
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-import seqbell.cli as cli
 import seqbell.feasibility as feasibility
 import seqbell.verify as verify
 
@@ -106,12 +108,12 @@ def test_negative_violation_margin_fails_standard_scan_consistency(monkeypatch):
 
 
 def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
-    real = cli.grid_to_csv
+    real = verify.grid_to_csv
 
     def inverted(grid):
         return real(dataclasses.replace(grid, flagged=~grid.flagged))
 
-    monkeypatch.setattr(cli, "grid_to_csv", inverted)
+    monkeypatch.setattr(verify, "grid_to_csv", inverted)
     result = run_one(monkeypatch, "standard-scan-consistency")
     assert not result.passed
     assert "CSV cells not read back as written 3 (tol 0)" in result.detail
@@ -126,3 +128,16 @@ def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch):
     result = run_one(monkeypatch, "classical-bounds")
     assert not result.passed
     assert "hybrid tables whose lone party reads a paired input 1 (tol 0)" in result.detail
+
+
+def test_checks_do_not_load_the_cli():
+    # cli imports verify; an import back would load cli.py a second time under -m.
+    code = ("import sys\nimport seqbell.verify as verify\n"
+            "verify.check_standard_scan_consistency()\n"
+            "print('seqbell.cli' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

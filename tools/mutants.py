@@ -49,9 +49,9 @@ MUTANTS = (
     # Every cell boundary-exempt, so scan/window disagreements read 0 by construction.
     Mutant("M4-no-interior-cells", "src/seqbell/feasibility.py",
            "    return same\n", "    return np.zeros_like(same)\n", verify=True),
-    Mutant("inverted-csv-flag", "src/seqbell/cli.py",
+    Mutant("inverted-csv-flag", "src/seqbell/feasibility.py",
            "values[3::4] = flags.tolist()", "values[3::4] = (~flags).tolist()", verify=True),
-    Mutant("swapped-value-columns", "src/seqbell/cli.py",
+    Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
            "values[1::4] = row1.tolist()", "values[1::4] = row2.tolist()", verify=True),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
@@ -63,6 +63,10 @@ MUTANTS = (
     # and the lone party of a hybrid LHV strategy reads a paired party's input.
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
+    # The one probability check lets p up to 1.5 through. Test-only: no valid run
+    # hands any boundary a bad probability, so no value verify sees changes.
+    Mutant("loose-probability-check", "src/seqbell/qstate.py",
+           "    if not 0.0 <= p <= 1.0:", "    if not 0.0 <= p <= 1.5:", verify=False),
 )
 
 
