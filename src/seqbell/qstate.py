@@ -48,6 +48,8 @@ def check_phi(phi) -> None:
 
     Angles are rejected rather than wrapped; the error names the first bad one.
     """
+    if np.size(phi) == 0:
+        raise ValueError("phi is an empty array of angles")
     if not (0.0 <= np.min(phi) and np.max(phi) <= PHI_MAX):
         flat = np.ravel(phi)
         i = np.flatnonzero(~((0.0 <= flat) & (flat <= PHI_MAX)))[0]

@@ -29,6 +29,8 @@ the central correctness check of the package. The simulation never
 evaluates them. One kernel simulates a 1-D array of angles (``branch_arrays``),
 bitwise as one angle at a time; each per-angle function is its N = 1 call. Its
 operators are built and checked once per process, on first use, and are read-only.
+Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
+biases and then computes the three other branches once; each row is bitwise one bias alone.
 """
 
 from __future__ import annotations
@@ -145,22 +147,33 @@ def _operators(kind: str):
     return operators
 
 
-def _branch_values(kind: str, phi: np.ndarray, prob_z0: float):
+def _branch_values(kind: str, phi: np.ndarray, prob_z0):
     """(first1, second1, first2, second2) over 1-D ``phi``; strategy 2's z = 0 has ``prob_z0``."""
     scenario = SCENARIOS[kind]
     settings1, settings2, measurements1, measurements2 = _operators(kind)
     rho = to_density(ghz(phi))
+    second2 = np.empty(np.shape(prob_z0) + phi.shape)  # one row per bias of a bias array
+    for k, q in np.ndenumerate(prob_z0):  # float(q): cheaper than np.float64 in the channel
+        second2[k] = scenario.value(luders_update(rho, measurements2, float(q)), settings1)
     return (
         scenario.value(rho, settings1),
         scenario.value(luders_update(rho, measurements1), settings1),
         scenario.value(rho, settings2),
-        scenario.value(luders_update(rho, measurements2, prob_z0), settings1),
+        second2,
     )
 
 
-def branch_arrays(kind: str, phi, v: float | None = None):
-    """Simulated (first1, second1, first2, second2) of the named scenario over angles ``phi``."""
-    check_kind(kind, v)
+def branch_arrays(kind: str, phi, v=None):
+    """Simulated (first1, second1, first2, second2) of the named scenario over angles ``phi``.
+
+    A genuine ``v`` may also be a nonempty 1-D array of biases, each checked as a scalar v;
+    ``second2`` is then (len(v), N), row k as at ``v[k]`` alone, and the rest (N,), made once.
+    """
+    biases = np.asarray(v)  # attributes, not np.ndim/np.size: cheap on every per-angle call
+    if biases.ndim > 1 or biases.size == 0:
+        raise ValueError(f"v must be a bias or a nonempty 1-D array, not shape {biases.shape}")
+    for bias in biases.flat:
+        check_kind(kind, bias)
     return _branch_values(kind, np.asarray(phi, dtype=float), 0.5 if v is None else v)
 
 

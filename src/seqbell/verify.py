@@ -84,13 +84,12 @@ def _worst(*values) -> float:
 
 
 def _random_strategy(rng) -> tuple[tuple, float]:
-    """A random measurement pair and prob_z0, drawn in that order."""
+    """Draws for a random measurement pair, each a unit Bloch vector or None, then prob_z0."""
     def one_measurement():
         if rng.random() < 0.25:
-            return identity_measurement()
+            return None
         n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        return projective_from_observable(bloch_obs(*n))
+        return n / np.linalg.norm(n)
 
     return (one_measurement(), one_measurement()), float(rng.random())
 
@@ -135,20 +134,23 @@ def check_state_invariants() -> list[Measurement]:
 
 def check_channel_properties() -> list[Measurement]:
     rng = np.random.default_rng(1234)
-    trace_dev = 0.0
-    neg_eig = -np.inf
-    for _ in range(1000):
-        phi = float(rng.random()) * PHI_MAX
-        rho = to_density(ghz(phi))
-        out = luders_update(rho, *_random_strategy(rng))
-        trace_dev = _worst(trace_dev, abs(np.trace(out).real - 1.0))
-        neg_eig = _worst(neg_eig, -np.linalg.eigvalsh(out))
+    phi = np.empty(1000)
+    draws = []
+    for i in range(phi.size):
+        phi[i] = float(rng.random()) * PHI_MAX
+        draws.append(_random_strategy(rng))
+    rho = to_density(ghz(phi))
+    out = np.empty_like(rho)
+    for i, (axes, prob_z0) in enumerate(draws):
+        measurements = tuple(identity_measurement() if n is None
+                             else projective_from_observable(bloch_obs(*n)) for n in axes)
+        out[i] = luders_update(rho[i], measurements, prob_z0)
     do_nothing = (identity_measurement(), identity_measurement())
     rho = to_density(ghz(0.5))
     fixed_dev = _worst(np.abs(luders_update(rho, do_nothing) - rho))
     return [
-        ("trace drift", trace_dev, 1e-12),
-        ("negative eigenvalue", neg_eig, 1e-10),
+        ("trace drift", _worst(np.abs(out.trace(axis1=1, axis2=2).real - 1.0)), 1e-12),
+        ("negative eigenvalue", _worst(-np.linalg.eigvalsh(out)), 1e-10),
         ("identity fixed-point deviation", fixed_dev, 1e-14),
     ]
 
@@ -193,26 +195,29 @@ def check_svetlichny_branch_values() -> list[Measurement]:
     first1, second1, first2, _ = branch_arrays("genuine", _PHI_GRID, 0.5)
     dev = _worst(np.abs(first1 - 4 * SQRT2 * _SIN2), np.abs(second1 - 2 * SQRT2 * _SIN2),
                  np.abs(first2 - 2 * SQRT2 * _SIN2))
-    for v in np.arange(1, 10) / 10:
-        second2 = branch_arrays("genuine", _PHI_GRID[::10], float(v))[3]
-        dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v) * _SIN2[::10]))
+    v = np.arange(1, 10) / 10
+    second2 = branch_arrays("genuine", _PHI_GRID[::10], v)[3]
+    dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v[:, None]) * _SIN2[::10]))
     return [("max deviation", dev, 1e-10)]
 
 
-def _mixture_deviation(kind: str, v: float | None) -> float:
-    """Largest gap between simulated mixture and closed form, _PHI_GRID x 200 p's."""
+def _mixture_deviation(kind: str, branches, v: float | None) -> float:
+    """Largest gap between the mixture of ``branches`` over _PHI_GRID and its closed form at v."""
     p = np.linspace(0.0, 1.0, 200)
-    sim1, sim2 = mix([x[:, None] for x in branch_arrays(kind, _PHI_GRID, v)], p)
+    sim1, sim2 = mix([x[:, None] for x in branches], p)
     closed1, closed2 = SCENARIOS[kind].closed(_SIN2[:, None], p, v)
     return _worst(np.abs(sim1 - closed1), np.abs(sim2 - closed2))
 
 
 def check_mixture_closed_form_standard() -> list[Measurement]:
-    return [("max deviation on a 200x200 grid", _mixture_deviation("standard", None), 1e-10)]
+    dev = _mixture_deviation("standard", branch_arrays("standard", _PHI_GRID), None)
+    return [("max deviation on a 200x200 grid", dev, 1e-10)]
 
 
 def check_mixture_closed_form_genuine() -> list[Measurement]:
-    dev = _worst(*(_mixture_deviation("genuine", float(v)) for v in np.arange(1, 21) / 21))
+    v = np.arange(1, 21) / 21
+    *common, second2 = branch_arrays("genuine", _PHI_GRID, v)
+    dev = _worst(*(_mixture_deviation("genuine", (*common, row), b) for b, row in zip(v, second2)))
     return [("max deviation on 20 bias slices", dev, 1e-10)]
 
 

@@ -6,6 +6,7 @@ import pytest
 from seqbell.qstate import (
     PHI_MAX,
     check_effects,
+    check_phi,
     bloch_obs,
     ghz,
     identity_measurement,
@@ -13,6 +14,7 @@ from seqbell.qstate import (
     projective_from_observable,
     to_density,
 )
+from seqbell.scenario import branch_arrays
 
 I2 = np.eye(2, dtype=complex)
 
@@ -84,6 +86,14 @@ def test_batch_errors_name_the_first_bad_member():
     with pytest.raises(ValueError,
                        match=r"^state vector 2 of 4 not normalized: \|psi\|\^2 = 4\.0$"):
         to_density(psi)
+
+
+def test_empty_angle_array_is_rejected_by_name():
+    for empty in ([], np.empty(0), np.empty((0, 3))):
+        with pytest.raises(ValueError, match=r"^phi is an empty array of angles$"):
+            check_phi(empty)
+    with pytest.raises(ValueError, match=r"^phi is an empty array of angles$"):
+        branch_arrays("standard", [])
 
 
 class TestObservables:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -145,6 +146,33 @@ class TestValidation:
     def test_branch_value_count(self):
         assert len(standard_branch_values(0.5)) == 4
         assert len(genuine_branch_values(0.5, 0.5)) == 4
+
+
+class TestBiasAxis:
+    """A 1-D array of biases gives second2 one row per bias, each as at that bias alone."""
+
+    PHI = np.linspace(0.0, PI4, 41)
+    BIASES = [k / 10 for k in range(1, 10)] + [20 / 21]
+
+    def test_rows_equal_the_per_bias_calls(self):
+        first1, second1, first2, second2 = branch_arrays("genuine", self.PHI, self.BIASES)
+        assert second2.shape == (len(self.BIASES), self.PHI.size)
+        for k, v in enumerate(self.BIASES):
+            alone = branch_arrays("genuine", self.PHI, v)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip((first1, second1, first2, second2[k]), alone)), v
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0, 1.5])
+    def test_bad_bias_is_rejected_by_value(self, bad):
+        with pytest.raises(ValueError, match=rf"^v={bad} outside \(0, 1\)$"):
+            branch_arrays("genuine", self.PHI, [0.3, 0.8, bad, 0.5])
+
+    def test_bias_array_needs_the_genuine_scenario_and_one_axis(self):
+        with pytest.raises(ValueError, match="not a parameter of the standard scenario"):
+            branch_arrays("standard", self.PHI, [0.3, 0.8])
+        for shape in ((2, 2), (0,)):
+            with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+                branch_arrays("genuine", self.PHI, np.full(shape, 0.8))
 
 
 class TestIndependence:

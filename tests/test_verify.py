@@ -16,6 +16,16 @@ import pytest
 
 import seqbell.feasibility as feasibility
 import seqbell.verify as verify
+from seqbell.luders import luders_update
+from seqbell.qstate import (
+    PHI_MAX,
+    bloch_obs,
+    ghz,
+    identity_measurement,
+    projective_from_observable,
+    to_density,
+)
+from seqbell.scenario import SCENARIOS, branch_arrays, mix
 
 
 def fake(*measurements):
@@ -141,3 +151,39 @@ def test_checks_do_not_load_the_cli():
                           timeout=600, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_channel_properties_equal_the_per_member_loop():
+    # Reference: each member prepared, updated and checked on its own, drawing phi,
+    # then two measurements (identity with probability 1/4, else a random Bloch
+    # axis), then prob_z0.
+    rng = np.random.default_rng(1234)
+    trace_dev, neg_eig = 0.0, -np.inf
+    for _ in range(1000):
+        rho = to_density(ghz(float(rng.random()) * PHI_MAX))
+        pair = []
+        for _ in range(2):
+            if rng.random() < 0.25:
+                pair.append(identity_measurement())
+            else:
+                n = rng.normal(size=3)
+                n /= np.linalg.norm(n)
+                pair.append(projective_from_observable(bloch_obs(*n)))
+        out = luders_update(rho, tuple(pair), float(rng.random()))
+        trace_dev = max(trace_dev, abs(np.trace(out).real - 1.0))
+        neg_eig = max(neg_eig, float(np.max(-np.linalg.eigvalsh(out))))
+    measured = [m for _, m, _ in verify.check_channel_properties()]
+    assert measured[:2] == [trace_dev, neg_eig]
+
+
+def test_mixture_closed_form_genuine_equals_the_per_bias_loop():
+    phi = np.linspace(0.0, PHI_MAX, 200)
+    sin2 = np.array([math.sin(2 * x) for x in phi])
+    p = np.linspace(0.0, 1.0, 200)
+    dev = 0.0
+    for v in np.arange(1, 21) / 21:
+        sim1, sim2 = mix([x[:, None] for x in branch_arrays("genuine", phi, float(v))], p)
+        closed1, closed2 = SCENARIOS["genuine"].closed(sin2[:, None], p, float(v))
+        dev = max(dev, float(np.max(np.abs(sim1 - closed1))),
+                  float(np.max(np.abs(sim2 - closed2))))
+    assert [m for _, m, _ in verify.check_mixture_closed_form_genuine()] == [dev]

@@ -41,8 +41,12 @@ MUTANTS = (
     # Test-only: the closed form equals the simulation, so no value verify sees
     # changes; TestIndependence owns it.
     Mutant("M1-second2-from-closed-form", "src/seqbell/scenario.py",
-           "scenario.value(luders_update(rho, measurements2, prob_z0), settings1),",
-           "scenario.closed(np.sin(2 * phi), 0, prob_z0)[1],", verify=False),
+           "second2[k] = scenario.value(luders_update(rho, measurements2, float(q)), settings1)",
+           "second2[k] = scenario.closed(np.sin(2 * phi), 0, q)[1]", verify=False),
+    # Every row of a bias array computed at its first bias.
+    Mutant("bias-rows-reuse-first-bias", "src/seqbell/scenario.py",
+           "luders_update(rho, measurements2, float(q))",
+           "luders_update(rho, measurements2, float(np.ravel(prob_z0)[0]))", verify=True),
     # Values a hair below the bound count as violations.
     Mutant("M2-negative-violation-margin", "src/seqbell/scenario.py",
            "VIOLATION_MARGIN = 1e-9", "VIOLATION_MARGIN = -1e-9", verify=True),
@@ -63,6 +67,13 @@ MUTANTS = (
     # and the lone party of a hybrid LHV strategy reads a paired party's input.
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
+    # channel-properties draws each member's angle after its strategy. Test-only:
+    # other draws give other but equally passing values; the reference loop owns it.
+    Mutant("channel-draw-order", "src/seqbell/verify.py",
+           "        phi[i] = float(rng.random()) * PHI_MAX\n"
+           "        draws.append(_random_strategy(rng))\n",
+           "        draws.append(_random_strategy(rng))\n"
+           "        phi[i] = float(rng.random()) * PHI_MAX\n", verify=False),
     # The one probability check lets p up to 1.5 through. Test-only: no valid run
     # hands any boundary a bad probability, so no value verify sees changes.
     Mutant("loose-probability-check", "src/seqbell/qstate.py",
