@@ -37,7 +37,7 @@ from .lhvbound import (
     svetlichny_value_of,
 )
 from .qstate import PHI_MAX
-from .scenario import check_v
+from .scenario import SCENARIOS, check_v
 from .verify import check_names, run_checks
 
 USAGE_ERROR = 2
@@ -52,11 +52,15 @@ MAX_SCAN_CELLS = 4_000_000
 def _write_atomic(path: str, data: bytes) -> None:
     """Write via a sibling temp file and rename, so failures leave no partial file.
 
-    The handle is binary, so ``data`` goes out as it is, with no encoded copy.
+    The sibling is that of the file ``path`` names, symlinks followed, so a link is
+    written through, not replaced. The handle is binary, so ``data`` goes out as it is.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".seqbell-{os.urandom(8).hex()}.tmp")
-    handle = open(tmp_path, "xb")
+    path = os.path.realpath(path)
+    tmp_path = os.path.join(os.path.dirname(path), f".seqbell-{os.urandom(8).hex()}.tmp")
+    try:
+        handle = open(tmp_path, "xb")
+    except OSError as exc:  # name the output, not a temp file the user never gave
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             handle.write(data)
@@ -197,8 +201,8 @@ def cmd_windows(args) -> int:
 def cmd_bounds(args) -> int:
     local = [mermin_value_of(s) for s in local_strategies()]
     hybrid = [svetlichny_value_of(s) for s in hybrid_strategies()]
-    witness_m = quantum_witness_max("mermin")
-    witness_s = quantum_witness_max("svetlichny")
+    witness_m = quantum_witness_max("standard")
+    witness_s = quantum_witness_max("genuine")
     print(f"mermin_classical_max = {float(max(local)):g} "
           f"(enumerated over {len(local)} local strategies)")
     print(f"svetlichny_classical_max = {float(max(hybrid)):g} "
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "tolerance so it must fail (fault injection)")
     p_verify.set_defaults(run=cmd_verify)
 
-    for kind in ("standard", "genuine"):
+    for kind in SCENARIOS:
         p_scan = sub.add_parser(f"scan-{kind}",
                                 help=f"scan the {kind} double-violation region")
         p_scan.add_argument("--grid-phi", type=_positive_grid, default=500,

@@ -81,14 +81,10 @@ def svetlichny_classical_max() -> float:
 
 
 def quantum_witness_max(kind: str) -> float:
-    """Simulated inequality value at phi = pi/4, p = 1.
+    """Simulated first value of the scenario ``kind`` at phi = pi/4, p = 1.
 
     A witness that the quantum strategies exceed the enumerated classical
-    bounds; not a proof of the quantum maximum.
+    bounds; not a proof of the quantum maximum. A genuine scenario gets the
+    bias 0.5, on which its first value does not depend.
     """
-    phi = math.pi / 4
-    if kind == "mermin":
-        return pair_simulated("standard", phi, 1.0)[0]
-    if kind == "svetlichny":
-        return pair_simulated("genuine", phi, 1.0, 0.5)[0]
-    raise ValueError(f"unknown inequality kind {kind!r}")
+    return pair_simulated(kind, math.pi / 4, 1.0, 0.5 if kind == "genuine" else None)[0]

@@ -50,6 +50,7 @@ from .bell import (
     mermin_value,
     svetlichny_value,
 )
+from .cmatrix import EYE2
 from .luders import luders_update
 from .qstate import (
     bloch_obs,
@@ -125,11 +126,10 @@ def check_kind(kind: str, v: float | None) -> None:
 
 
 def _charlie(pair):
-    """Charlie_1's observables and measurement pair; None is the identity, observable I - 0."""
+    """Charlie_1's observables and measurement pair; None is the identity, observable I."""
+    observables = tuple(EYE2 if c is None else c for c in pair)
     measurements = tuple(identity_measurement() if c is None else projective_from_observable(c)
                          for c in pair)
-    observables = tuple(effect0 - effect1 if c is None else c
-                        for c, (effect0, effect1) in zip(pair, measurements))
     return observables, measurements
 
 
@@ -147,22 +147,6 @@ def _operators(kind: str):
     return operators
 
 
-def _branch_values(kind: str, phi: np.ndarray, prob_z0):
-    """(first1, second1, first2, second2) over 1-D ``phi``; strategy 2's z = 0 has ``prob_z0``."""
-    scenario = SCENARIOS[kind]
-    settings1, settings2, measurements1, measurements2 = _operators(kind)
-    rho = to_density(ghz(phi))
-    second2 = np.empty(np.shape(prob_z0) + phi.shape)  # one row per bias of a bias array
-    for k, q in np.ndenumerate(prob_z0):  # float(q): cheaper than np.float64 in the channel
-        second2[k] = scenario.value(luders_update(rho, measurements2, float(q)), settings1)
-    return (
-        scenario.value(rho, settings1),
-        scenario.value(luders_update(rho, measurements1), settings1),
-        scenario.value(rho, settings2),
-        second2,
-    )
-
-
 def branch_arrays(kind: str, phi, v=None):
     """Simulated (first1, second1, first2, second2) of the named scenario over angles ``phi``.
 
@@ -174,7 +158,20 @@ def branch_arrays(kind: str, phi, v=None):
         raise ValueError(f"v must be a bias or a nonempty 1-D array, not shape {biases.shape}")
     for bias in biases.flat:
         check_kind(kind, bias)
-    return _branch_values(kind, np.asarray(phi, dtype=float), 0.5 if v is None else v)
+    scenario = SCENARIOS[kind]
+    settings1, settings2, measurements1, measurements2 = _operators(kind)
+    phi = np.asarray(phi, dtype=float)
+    rho = to_density(ghz(phi))
+    prob_z0 = 0.5 if v is None else v  # strategy 2's z = 0 probability
+    second2 = np.empty(np.shape(prob_z0) + phi.shape)  # one row per bias of a bias array
+    for k, q in np.ndenumerate(prob_z0):  # float(q): cheaper than np.float64 in the channel
+        second2[k] = scenario.value(luders_update(rho, measurements2, float(q)), settings1)
+    return (
+        scenario.value(rho, settings1),
+        scenario.value(luders_update(rho, measurements1), settings1),
+        scenario.value(rho, settings2),
+        second2,
+    )
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:

@@ -257,8 +257,8 @@ def check_classical_bounds() -> list[Measurement]:
 
 
 def check_quantum_witnesses() -> list[Measurement]:
-    wm = quantum_witness_max("mermin")
-    ws = quantum_witness_max("svetlichny")
+    wm = quantum_witness_max("standard")
+    ws = quantum_witness_max("genuine")
     return [
         ("witness deviation", _worst(abs(wm - 4.0), abs(ws - 4 * SQRT2)), 1e-10),
         ("witnesses not above the classical bound",

@@ -74,12 +74,33 @@ class TestScanStandard:
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
         assert stat.S_IMODE(svg.stat().st_mode) == 0o644
 
-    def test_unwritable_path_is_usage_error(self, tmp_path):
+    def test_unwritable_path_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "scan.csv"
         assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
                         "--out", str(out)]) == 2
         assert not (tmp_path / "missing").exists()
         assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "scan.csv" in err and ".seqbell-" not in err
+
+    def test_symlinked_outputs_are_written_through(self, tmp_path):
+        args = ["scan-standard", "--grid-phi", "4", "--grid-p", "4"]
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        assert run_cli(args + ["--out", str(direct / "scan.csv"),
+                               "--svg", str(direct / "scan.svg")]) == 0
+        (tmp_path / "real.csv").write_bytes(b"old")
+        (tmp_path / "real.svg").write_bytes(b"old")
+        links = {name: tmp_path / f"link.{name}" for name in ("csv", "svg", "dangling")}
+        links["csv"].symlink_to("real.csv")
+        links["svg"].symlink_to("real.svg")
+        links["dangling"].symlink_to("new.csv")
+        assert run_cli(args + ["--out", str(links["csv"]), "--svg", str(links["svg"])]) == 0
+        assert run_cli(args + ["--out", str(links["dangling"])]) == 0
+        assert all(link.is_symlink() for link in links.values())
+        for target, reference in (("real.csv", "scan.csv"), ("real.svg", "scan.svg"),
+                                  ("new.csv", "scan.csv")):
+            assert (tmp_path / target).read_bytes() == (direct / reference).read_bytes()
 
     def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):

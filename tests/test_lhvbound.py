@@ -74,11 +74,12 @@ def test_single_bipartition_reaches_four():
 
 
 def test_quantum_witnesses():
-    wm = quantum_witness_max("mermin")
-    ws = quantum_witness_max("svetlichny")
+    wm = quantum_witness_max("standard")
+    ws = quantum_witness_max("genuine")
     assert wm == pytest.approx(4.0, abs=1e-10)
     assert ws == pytest.approx(4 * math.sqrt(2), abs=1e-10)
     assert wm > mermin_classical_max()
     assert ws > svetlichny_classical_max()
-    with pytest.raises(ValueError):
-        quantum_witness_max("chsh")
+    for name in ("mermin", "svetlichny", "chsh"):  # inequality names are not scenario kinds
+        with pytest.raises(ValueError):
+            quantum_witness_max(name)

@@ -199,7 +199,7 @@ class TestIndependence:
             assert all(not np.array_equal(a, b) for a, b in zip(real, zero)), kind
 
     def test_kernel_names_no_closed_form(self):
-        assert not {"closed", "sin"} & set(scenario._branch_values.__code__.co_names)
+        assert not {"closed", "sin"} & set(scenario.branch_arrays.__code__.co_names)
 
 
 class TestOperators:

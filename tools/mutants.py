@@ -78,6 +78,10 @@ MUTANTS = (
     # hands any boundary a bad probability, so no value verify sees changes.
     Mutant("loose-probability-check", "src/seqbell/qstate.py",
            "    if not 0.0 <= p <= 1.0:", "    if not 0.0 <= p <= 1.5:", verify=False),
+    # An output path that is a symlink gets the link replaced by a regular file, and
+    # the file it names is left as it was. Test-only: verify writes no file.
+    Mutant("output-replaces-symlink", "src/seqbell/cli.py",
+           "    path = os.path.realpath(path)\n", "", verify=False),
 )
 
 
