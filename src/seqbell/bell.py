@@ -7,8 +7,9 @@ sign combinations of correlators <A_x B_y C_z>. Their coefficient tables
 live here so that the quantum evaluation (this module) and the
 classical-bound enumeration share a single definition of each expression.
 
-A state ``rho`` may carry leading batch axes (..., 8, 8), giving values of
-the batch shape; the imaginary-residue guard reduces over the batch.
+A state ``rho`` may carry leading batch axes (..., 8, 8). ``expectation``
+takes K correlators at once and returns shape (..., K); the inequality
+values have the batch shape. The imaginary-residue guard reduces over both.
 """
 
 from __future__ import annotations
@@ -53,9 +54,13 @@ def check_settings(settings: Settings) -> Settings:
     return settings
 
 
-def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """<A (x) B (x) C> on rho, one per batch member. Raises on an imaginary residue."""
-    value = (rho @ kron(kron(a, b), c)).trace(axis1=-2, axis2=-1)
+def expectation(rho: np.ndarray, a, b, c):
+    """<A_k (x) B_k (x) C_k> on rho for equal-length sequences a, b, c: shape (..., K).
+
+    Raises on an imaginary residue in any correlator of any batch member.
+    """
+    ops = np.stack([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
+    value = (rho[..., None, :, :] @ ops).trace(axis1=-2, axis2=-1)
     residue = np.abs(value.imag).max()
     if not residue <= _IMAG_TOL:
         raise RuntimeError(
@@ -67,7 +72,8 @@ def expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 def _inequality_value(rho, settings: Settings, terms):
     a, b, c = settings
-    return sum(coeff * expectation(rho, a[x], b[y], c[z]) for (x, y, z), coeff in terms)
+    values = expectation(rho, *zip(*[(a[x], b[y], c[z]) for (x, y, z), _ in terms]))
+    return sum(coeff * values[..., k] for k, (_, coeff) in enumerate(terms))
 
 
 def mermin_value(rho: np.ndarray, settings: Settings):

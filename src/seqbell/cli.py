@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 failed check, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -232,6 +233,10 @@ def _output_path(value: str) -> str:
     """Reject an existing target that the atomic rename must not replace."""
     if os.path.exists(value) and not os.path.isfile(value):
         raise argparse.ArgumentTypeError(f"{value} exists and is not a regular file")
+    # The rename would unlink stdout's own file, losing the summary printed after it.
+    with contextlib.suppress(OSError):  # no such file, or stdout closed
+        if os.path.samestat(os.stat(value), os.fstat(1)):
+            raise argparse.ArgumentTypeError(f"{value} is the file that stdout writes to")
     return value
 
 

@@ -30,6 +30,11 @@ def brute_expectation(rho, a, b, c):
     return total
 
 
+def correlator(rho, a, b, c):
+    """<A (x) B (x) C> as a stack of one correlator, its K = 1 axis dropped."""
+    return expectation(rho, [a], [b], [c])[..., 0]
+
+
 def standard_settings(c0, c1):
     return check_settings(((SX, SY), (-SY, SX), (c0, c1)))
 
@@ -48,18 +53,18 @@ class TestExpectation:
         oracle = brute_expectation(rho, SX, SX, SX)
         assert abs(oracle.imag) < 1e-14
         assert oracle.real == pytest.approx(1.0, abs=1e-14)
-        assert expectation(rho, SX, SX, SX) == pytest.approx(1.0, abs=1e-12)
+        assert correlator(rho, SX, SX, SX) == pytest.approx(1.0, abs=1e-12)
 
     def test_z_marginal_is_cos_2phi(self):
         for phi in np.linspace(0.0, math.pi / 4, 9):
             rho = to_density(ghz(phi))
-            assert expectation(rho, pauli("z"), I2, I2) == pytest.approx(
+            assert correlator(rho, pauli("z"), I2, I2) == pytest.approx(
                 math.cos(2 * phi), abs=1e-12
             )
 
     def test_product_state_kills_x_correlator(self):
         rho = to_density(ghz(0.0))
-        assert expectation(rho, SX, SX, SX) == pytest.approx(0.0, abs=1e-14)
+        assert correlator(rho, SX, SX, SX) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(31)
@@ -72,14 +77,46 @@ class TestExpectation:
                 n /= np.linalg.norm(n)
                 obs.append(bloch_obs(*n))
             oracle = brute_expectation(rho, *obs)
-            val = expectation(rho, *obs)
+            val = correlator(rho, *obs)
             assert val == pytest.approx(oracle.real, abs=1e-12)
             assert -1.0 - 1e-10 <= val <= 1.0 + 1e-10
 
     def test_imaginary_residue_raises(self):
         rho = to_density(ghz(math.pi / 4))
         with pytest.raises(RuntimeError):
-            expectation(rho, 1j * SX, SX, SX)
+            correlator(rho, 1j * SX, SX, SX)
+
+
+class TestStackedCorrelators:
+    """A stack of K correlators is bitwise K separate ones, and is guarded as a whole."""
+
+    CASES = (
+        (standard_settings(SX, SY), MERMIN_TERMS),
+        (standard_settings(SX, I2), MERMIN_TERMS),
+        (genuine_settings(-SY, SX), SVETLICHNY_TERMS),
+        (genuine_settings(I2, SX), SVETLICHNY_TERMS),
+    )
+
+    def test_stack_equals_one_call_per_correlator(self):
+        one = to_density(ghz(0.3))
+        batch = to_density(ghz(np.array([0.1, 0.3, math.pi / 4])))
+        for (a, b, c), terms in self.CASES:
+            stack = [(a[x], b[y], c[z]) for (x, y, z), _ in terms]
+            for rho in (one, batch):
+                stacked = expectation(rho, *zip(*stack))
+                assert stacked.shape == rho.shape[:-2] + (len(terms),)
+                singles = np.stack([correlator(rho, *obs) for obs in stack], axis=-1)
+                assert np.array_equal(stacked, singles)
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError):
+            expectation(to_density(ghz(0.3)), [SX, SY], [SX, SY], [SX])
+
+    def test_residue_guard_reads_the_last_correlator(self):
+        rho = to_density(ghz(math.pi / 4))
+        expectation(rho, [SX, SX], [SX, SY], [SX, SX])  # the first two pass the guard
+        with pytest.raises(RuntimeError, match="imaginary"):
+            expectation(rho, [SX, SX, SX], [SX, SY, SX], [SX, SX, 1j * SX])
 
 
 class TestInequalityValues:
@@ -157,8 +194,8 @@ class TestLinearity:
         rho = to_density(ghz(0.5))
         a, a2 = SX, SY
         alpha, beta = 0.3, -1.2
-        combo = expectation(rho, alpha * a + beta * a2, SX, SY)
-        expected = alpha * expectation(rho, a, SX, SY) + beta * expectation(rho, a2, SX, SY)
+        combo = correlator(rho, alpha * a + beta * a2, SX, SY)
+        expected = alpha * correlator(rho, a, SX, SY) + beta * correlator(rho, a2, SX, SY)
         assert combo == pytest.approx(expected, abs=1e-12)
 
     def test_linear_in_state(self):
@@ -204,13 +241,13 @@ NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
     (lambda: check_settings(((NAN_OBS, SY), (SX, SY), (SX, SY))), ValueError, None),
     (lambda: luders_update(_nan_density(), (
         projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, None),
-    (lambda: expectation(_nan_density(), SX, SX, SX), RuntimeError, None),
+    (lambda: correlator(_nan_density(), SX, SX, SX), RuntimeError, None),
     (lambda: projective_from_observable(NAN_OBS), ValueError, "square"),
     (lambda: to_density(np.stack([ghz(0.1), np.full(8, np.nan), ghz(0.5)])), ValueError,
      "normalized"),
     (lambda: luders_update(_nan_batch(), (
         projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, "trace"),
-    (lambda: expectation(_nan_batch(), SX, SX, SX), RuntimeError, "imaginary"),
+    (lambda: correlator(_nan_batch(), SX, SX, SX), RuntimeError, "imaginary"),
 ], ids=["to_density", "bloch_obs", "settings", "luders_update", "expectation",
         "projective_from_observable", "to_density_batch", "luders_update_batch",
         "expectation_batch"])

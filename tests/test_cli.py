@@ -21,6 +21,13 @@ def run_cli(args):
     return cli.main(args)
 
 
+def child_env():
+    """The environment of a child that imports seqbell from the same place this process did."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_scan_defaults_are_500_by_500():
     args = cli.build_parser().parse_args(["scan-standard", "--out", "x.csv"])
     assert args.grid_phi == 500 and args.grid_p == 500 and args.svg is None
@@ -121,6 +128,24 @@ class TestScanStandard:
             run_cli(args)
         assert exc.value.code == 2
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_output_to_stdouts_file_is_usage_error(self, tmp_path, flag):
+        # Replacing the file stdout is redirected to would send the summary to an
+        # unlinked inode; --out names it as /dev/stdout, --svg by its own path.
+        stdout = tmp_path / "stdout.txt"
+        stdout.write_text("before\n")
+        args = {"--out": ["--out", "/dev/stdout"],
+                "--svg": ["--out", str(tmp_path / "scan.csv"), "--svg", str(stdout)]}[flag]
+        with open(stdout, "a") as handle:
+            proc = subprocess.run(
+                [sys.executable, "-m", "seqbell.cli", "scan-standard", "--grid-phi", "4",
+                 "--grid-p", "3", *args],
+                stdout=handle, stderr=subprocess.PIPE, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert "stdout" in proc.stderr
+        assert stdout.read_text() == "before\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stdout.txt"]
 
     def test_svg_and_csv_to_the_same_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -411,13 +436,9 @@ class TestVerify:
 
 
 def test_full_verify_clean_exit():
-    # The child imports seqbell from the same place this process did.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "seqbell.cli", "verify"],
-        capture_output=True, text=True, timeout=600,
-        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600, env=child_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout

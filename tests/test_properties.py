@@ -90,7 +90,7 @@ def test_update_is_unital(measurements, prob_z0):
 @PROPERTY
 @given(pure_states(), observables, observables, observables)
 def test_correlators_lie_in_unit_interval(rho, a, b, c):
-    assert -1.0 - 1e-10 <= expectation(rho, a, b, c) <= 1.0 + 1e-10
+    assert -1.0 - 1e-10 <= expectation(rho, [a], [b], [c])[0] <= 1.0 + 1e-10
 
 
 @PROPERTY

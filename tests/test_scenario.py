@@ -193,7 +193,8 @@ class TestIndependence:
     def test_zero_correlators_change_every_branch(self, monkeypatch):
         for kind, v in self.CASES:
             real = branch_arrays(kind, [PI4], v)
-            monkeypatch.setattr(bell, "expectation", lambda rho, a, b, c: np.zeros(rho.shape[:-2]))
+            monkeypatch.setattr(bell, "expectation",
+                                lambda rho, a, b, c: np.zeros(rho.shape[:-2] + (len(a),)))
             zero = branch_arrays(kind, [PI4], v)
             monkeypatch.undo()
             assert all(not np.array_equal(a, b) for a, b in zip(real, zero)), kind

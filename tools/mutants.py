@@ -64,9 +64,17 @@ MUTANTS = (
     # Mermin loses its A0 B0 C1 term,
     Mutant("dropped-mermin-term", "src/seqbell/bell.py", "    ((0, 0, 1), 1),\n", "",
            verify=True),
+    # each coefficient weighs the correlator stacked before its own,
+    Mutant("shifted-correlator-coefficients", "src/seqbell/bell.py",
+           "values[..., k]", "values[..., k - 1]", verify=True),
     # and the lone party of a hybrid LHV strategy reads a paired party's input.
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
+    # The imaginary-residue guard reads only the first correlator of a stack.
+    # Test-only: every operator a valid run builds is Hermitian, so the guard
+    # never fires in verify; the last-correlator test in tests/test_bell.py owns it.
+    Mutant("residue-guard-first-correlator", "src/seqbell/bell.py",
+           "np.abs(value.imag).max()", "np.abs(value.imag[..., 0]).max()", verify=False),
     # channel-properties draws each member's angle after its strategy. Test-only:
     # other draws give other but equally passing values; the reference loop owns it.
     Mutant("channel-draw-order", "src/seqbell/verify.py",
