@@ -59,7 +59,7 @@ def expectation(rho: np.ndarray, a, b, c):
 
     Raises on an imaginary residue in any correlator of any batch member.
     """
-    ops = np.stack([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
+    ops = np.array([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
     value = (rho[..., None, :, :] @ ops).trace(axis1=-2, axis2=-1)
     residue = np.abs(value.imag).max()
     if not residue <= _IMAG_TOL:
@@ -71,9 +71,18 @@ def expectation(rho: np.ndarray, a, b, c):
 
 
 def _inequality_value(rho, settings: Settings, terms):
+    """sum_k coeff_k <A_x B_y C_z>_k, added strictly left to right.
+
+    ``np.add.accumulate`` adds in index order, as the term-by-term ``sum`` it
+    replaces did; a plain ``.sum`` may add 8 terms pairwise and round
+    differently. ``sum`` started from the integer 0, so a total of all -0.0
+    terms read +0.0; the trailing ``+ 0.0`` keeps that and changes no other
+    value.
+    """
     a, b, c = settings
     values = expectation(rho, *zip(*[(a[x], b[y], c[z]) for (x, y, z), _ in terms]))
-    return sum(coeff * values[..., k] for k, (_, coeff) in enumerate(terms))
+    coeffs = np.array([coeff for _, coeff in terms], dtype=float)
+    return np.add.accumulate(values * coeffs, axis=-1)[..., -1] + 0.0
 
 
 def mermin_value(rho: np.ndarray, settings: Settings):

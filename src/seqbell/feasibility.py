@@ -115,25 +115,34 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# The phi column's slot in a row block's template: one byte that neither the
+# header nor any ``_fmt`` text holds. Flags are written as their digit's bytes.
+_PHI_SLOT = "\0"
+_FLAG_TEXT = np.array([b"0", b"1"], dtype=object)
+
+
 def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
     """The grid as ASCII CSV bytes, phi-major, ending in a newline.
 
-    Each phi row block is one ``%`` call on a bytes template built once per
-    grid and is appended to one buffer, so the text never exists twice. The
-    template spells out the p and v columns (``_fmt`` text holds no ``%``) and
-    has ``%b``, ``%.12g`` (the text of ``_fmt``) and ``%d`` slots for phi,
-    values and flag.
+    Each phi row block is one ``%`` call on a bytes template and is appended
+    to one buffer, so the text never exists twice. The template is built once
+    per grid and spells out the p and v columns (``_fmt`` text holds no ``%``).
+    Each block splices its ``_fmt(phi)`` into the template's phi slots with one
+    ``bytes.replace``, a copy of the template and not of the formatted block.
+    Only the two values go through ``%.12g`` (the text of ``_fmt``) per cell;
+    the flag goes through ``%b`` as the bytes ``0`` or ``1``.
     """
     v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
     csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
-    template = "".join(f"%b,{_fmt(p)}{v_col},%.12g,%.12g,%d\n" for p in grid.p).encode()
-    values = [None] * (4 * grid.p.size)
+    template = "".join(f"{_PHI_SLOT},{_fmt(p)}{v_col},%.12g,%.12g,%b\n"
+                       for p in grid.p).encode()
+    slot = _PHI_SLOT.encode()
+    values = [None] * (3 * grid.p.size)
     for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        values[0::4] = [_fmt(phi).encode()] * grid.p.size
-        values[1::4] = row1.tolist()
-        values[2::4] = row2.tolist()
-        values[3::4] = flags.tolist()
-        csv += template % tuple(values)
+        values[0::3] = row1.tolist()
+        values[1::3] = row2.tolist()
+        values[2::3] = _FLAG_TEXT[flags.view(np.uint8)].tolist()
+        csv += template.replace(slot, _fmt(phi).encode()) % tuple(values)
     return csv
 
 

@@ -13,6 +13,12 @@ matrix square root is implemented anywhere in the package.
 
 ``rho`` may carry leading batch axes (..., 8, 8), one channel applied to
 each member; the trace guard reduces over the batch.
+
+The weighted products are evaluated as one stack and added along the effect
+axis with ``np.add.accumulate``, which adds in index order (``.sum`` promises
+no order): the same order, and so the same bits, as adding them one by one
+into a zero state. A zero start turns a -0.0 entry into +0.0; the trailing
+``+ 0.0`` does the same.
 """
 
 from __future__ import annotations
@@ -40,14 +46,17 @@ def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
     ``measurements`` holds the effect pair for input z = 0 and for z = 1.
     """
     check_p(prob_z0, "prob_z0")
-    out = np.zeros_like(rho)
     weights = (prob_z0, 1.0 - prob_z0)
-    for q, meas in zip(weights, measurements, strict=True):
-        if q == 0.0:
+    e8, q = [], []
+    for weight, meas in zip(weights, measurements, strict=True):
+        if weight == 0.0:
             continue
         for effect in meas:
-            e8 = embed_third(effect)
-            out += q * (e8 @ rho @ e8)
+            e8.append(embed_third(effect))
+            q.append(weight)
+    e8 = np.array(e8)
+    terms = np.array(q)[:, None, None] * (e8 @ rho[..., None, :, :] @ e8)
+    out = np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
     drift = np.abs(out.trace(axis1=-2, axis2=-1) - rho.trace(axis1=-2, axis2=-1)).max()
     if not drift <= _TRACE_TOL:
         raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")

@@ -62,12 +62,17 @@ def check_p(p: float, name: str = "p") -> None:
         raise ValueError(f"{name}={p} outside [0, 1]")
 
 
+# math.cos/math.sin applied per angle: libm's result, the same for one angle or many.
+_COS = np.frompyfunc(math.cos, 1, 1)
+_SIN = np.frompyfunc(math.sin, 1, 1)
+
+
 def ghz(phi) -> np.ndarray:
     """State vectors cos(phi)|000> + sin(phi)|111> (math.cos/sin per angle), phi in [0, pi/4]."""
     check_phi(phi)
     amps = np.zeros(np.shape(phi) + (8,), dtype=complex)
-    amps[..., 0] = np.frompyfunc(math.cos, 1, 1)(phi)
-    amps[..., 7] = np.frompyfunc(math.sin, 1, 1)(phi)
+    amps[..., 0] = _COS(phi)
+    amps[..., 7] = _SIN(phi)
     return amps
 
 

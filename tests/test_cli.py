@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import stat
 import subprocess
@@ -8,8 +9,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqbell.cli as cli
+import seqbell.feasibility as feasibility
 import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
 from seqbell.feasibility import FeasibilityGrid, _fmt, scan, scan_grid
@@ -239,12 +242,40 @@ HAND_GRIDS = {
 }
 
 
+# Any double, with the signed zeros, the infinities and NaN drawn explicitly.
+csv_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+
+
+def random_grids(n_phi, n_p):
+    """n_phi x n_p grids of any doubles and mixed flags, either kind, with or without v."""
+    def cells(elements):
+        return st.lists(st.lists(elements, min_size=n_p, max_size=n_p),
+                        min_size=n_phi, max_size=n_phi).map(np.array)
+
+    def axis(n):
+        return st.lists(csv_floats, min_size=n, max_size=n).map(np.array)
+
+    return st.builds(FeasibilityGrid, kind=st.sampled_from(["standard", "genuine"]),
+                     phi=axis(n_phi), p=axis(n_p), v=st.one_of(st.none(), csv_floats),
+                     value1=cells(csv_floats), value2=cells(csv_floats),
+                     flagged=cells(st.booleans()))
+
+
 class TestGridWriters:
     @pytest.mark.parametrize("v", [None, 0.8, 1e-13])
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
     def test_matches_per_cell_reference(self, name, v):
         grid = hand_grid(*HAND_GRIDS[name], v=v)
         assert cli.grid_to_csv(grid) == reference_csv(grid).encode("ascii")
+
+    @pytest.mark.parametrize("n_phi, n_p", [(1, 1), (1, 5), (4, 1), (3, 4)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_matches_per_cell_reference_on_random_grids(self, n_phi, n_p, data):
+        grid = data.draw(random_grids(n_phi, n_p))
+        csv = cli.grid_to_csv(grid)
+        assert csv == reference_csv(grid).encode("ascii")
+        assert feasibility._PHI_SLOT.encode() not in csv
 
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
     def test_svg_runs_match_flag_walk(self, name):
@@ -293,6 +324,17 @@ class TestOutputMemory:
         grid = scan("genuine", *scan_grid(20, 1000), v=0.9)
         data, peak = traced_peak(cli.grid_to_csv, grid)
         assert peak <= 1.5 * len(data)
+
+    def test_wide_csv_holds_the_output_and_a_few_row_blocks(self):
+        # The 20x25000 grid of the wide scan, 1.6 MB per phi row block. Beside the
+        # output the writer holds the buffer's growth slack (up to an eighth of the
+        # output, 2.5 blocks), the template, its spliced copy, one block's values
+        # and its formatted text: about 5.2 blocks in all. A copy of the output
+        # would add 20.
+        grid = scan("genuine", *scan_grid(20, 25000), v=0.9)
+        data, peak = traced_peak(cli.grid_to_csv, grid)
+        block = len(data) / grid.phi.size
+        assert peak <= len(data) + 6 * block
 
     def test_atomic_write_makes_no_copy(self, tmp_path):
         data = b"0123456789abcde\n" * (1 << 19)  # 8 MiB

@@ -1,5 +1,6 @@
 """Property tests: invariants of the channel, the correlators, the batch kernel
-and the CSV number format.
+and the CSV number format, and the kernel's two stacked reductions against the
+loops they replaced.
 
 Hypothesis draws pure three-qubit states, one measurement per input (a
 projective measurement along a unit Bloch vector, or the identity),
@@ -9,19 +10,30 @@ example database, so they are reproducible and leave no files behind.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from seqbell.bell import check_settings, expectation, mermin_value, svetlichny_value
+import seqbell.bell as bell
+from seqbell.bell import (
+    MERMIN_TERMS,
+    SVETLICHNY_TERMS,
+    check_settings,
+    expectation,
+    mermin_value,
+    svetlichny_value,
+)
 from seqbell.feasibility import _fmt
-from seqbell.luders import luders_update
+from seqbell.luders import embed_third, luders_update
 from seqbell.qstate import (
     PHI_MAX,
     bloch_obs,
     check_phi,
+    ghz,
     identity_measurement,
+    pauli,
     projective_from_observable,
     to_density,
 )
@@ -135,3 +147,80 @@ def test_printf_format_matches_csv_formatter(x):
     # grid_to_csv writes value columns through "%.12g" templates.
     assert "%.12g" % x == _fmt(x)
     assert b"%.12g" % x == _fmt(x).encode()
+
+
+def reference_inequality_value(values, terms):
+    """The term-by-term ``sum`` that ``bell._inequality_value`` replaced, kept as the reference."""
+    return sum(coeff * values[..., k] for k, (_, coeff) in enumerate(terms))
+
+
+def inequality_value_of(values, terms):
+    """``bell._inequality_value`` with ``values`` standing in for its correlators."""
+    any_settings = check_settings(((np.eye(2, dtype=complex),) * 2,) * 3)
+    with patch.object(bell, "expectation", lambda rho, a, b, c: values):
+        return bell._inequality_value(MAXIMALLY_MIXED, any_settings, terms)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# Finite terms, the signed zeros drawn explicitly, too small for a sum of eight to
+# overflow. (A NaN's sign bit follows the compiler's operand order, and the
+# residue guard lets no NaN correlator through.)
+term_floats = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+
+
+@PROPERTY
+@given(st.sampled_from([MERMIN_TERMS, SVETLICHNY_TERMS]), st.integers(0, 3), st.data())
+def test_inequality_value_is_the_term_by_term_sum(terms, batch, data):
+    shape = (batch, len(terms)) if batch else (len(terms),)
+    size = math.prod(shape)
+    values = np.array(data.draw(st.lists(term_floats, min_size=size, max_size=size)))
+    values = values.reshape(shape)
+    assert_same_bits(inequality_value_of(values, terms), reference_inequality_value(values, terms))
+
+
+@pytest.mark.parametrize("terms", [MERMIN_TERMS, SVETLICHNY_TERMS])
+def test_inequality_value_of_all_negative_zero_terms_is_positive_zero(terms):
+    # Each value has the sign opposite to its coefficient's, so every term is -0.0;
+    # the term-by-term sum started from the integer 0 and read +0.0.
+    one = np.array([-0.0 if coeff > 0 else 0.0 for _, coeff in terms])
+    for values in (one, np.stack([one, one])):
+        got = inequality_value_of(values, terms)
+        assert not np.any(np.signbit(got))
+        assert_same_bits(got, reference_inequality_value(values, terms))
+
+
+def reference_luders_update(rho, measurements, prob_z0):
+    """The effect-by-effect loop that ``luders_update`` replaced, kept as the reference."""
+    out = np.zeros_like(rho)
+    for q, meas in zip((prob_z0, 1.0 - prob_z0), measurements):
+        if q == 0.0:
+            continue
+        for effect in meas:
+            e8 = embed_third(effect)
+            out += q * (e8 @ rho @ e8)
+    return out
+
+
+# One state, a stack of pure states, or GHZ-class states (many exact zeros).
+rho_batches = st.one_of(
+    pure_states(),
+    st.lists(pure_states(), min_size=1, max_size=3).map(np.stack),
+    angle_arrays.map(lambda phi: to_density(ghz(phi))),
+)
+GHZ_EDGES = to_density(ghz(np.array([0.0, PHI_MAX])))
+X_THEN_IDENTITY = (projective_from_observable(pauli("x")), identity_measurement())
+
+
+@PROPERTY
+@given(rho_batches, measurement_pairs, prob_z0s)
+@example(GHZ_EDGES, X_THEN_IDENTITY, 0.0)
+@example(GHZ_EDGES, X_THEN_IDENTITY, 1.0)
+@example(GHZ_EDGES, X_THEN_IDENTITY[::-1], 1.0)
+def test_update_is_the_effect_by_effect_loop(rho, measurements, prob_z0):
+    assert_same_bits(luders_update(rho, measurements, prob_z0),
+                     reference_luders_update(rho, measurements, prob_z0))

@@ -54,9 +54,10 @@ MUTANTS = (
     Mutant("M4-no-interior-cells", "src/seqbell/feasibility.py",
            "    return same\n", "    return np.zeros_like(same)\n", verify=True),
     Mutant("inverted-csv-flag", "src/seqbell/feasibility.py",
-           "values[3::4] = flags.tolist()", "values[3::4] = (~flags).tolist()", verify=True),
+           "_FLAG_TEXT[flags.view(np.uint8)]", "_FLAG_TEXT[(~flags).view(np.uint8)]",
+           verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
-           "values[1::4] = row1.tolist()", "values[1::4] = row2.tolist()", verify=True),
+           "values[0::3] = row1.tolist()", "values[0::3] = row2.tolist()", verify=True),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
            "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)",
@@ -66,7 +67,7 @@ MUTANTS = (
            verify=True),
     # each coefficient weighs the correlator stacked before its own,
     Mutant("shifted-correlator-coefficients", "src/seqbell/bell.py",
-           "values[..., k]", "values[..., k - 1]", verify=True),
+           "values * coeffs", "np.roll(values, 1, axis=-1) * coeffs", verify=True),
     # and the lone party of a hybrid LHV strategy reads a paired party's input.
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
@@ -75,6 +76,15 @@ MUTANTS = (
     # never fires in verify; the last-correlator test in tests/test_bell.py owns it.
     Mutant("residue-guard-first-correlator", "src/seqbell/bell.py",
            "np.abs(value.imag).max()", "np.abs(value.imag[..., 0]).max()", verify=False),
+    # The channel adds its weighted products last effect first, and an inequality
+    # whose terms are all -0.0 reads -0.0. Test-only: both change only rounding
+    # or a zero's sign, which no check's tolerance sees; the bitwise tests against
+    # the replaced loops in tests/test_properties.py own them.
+    Mutant("reordered-luders-accumulation", "src/seqbell/luders.py",
+           "np.add.accumulate(terms, axis=-3)",
+           "np.add.accumulate(terms[..., ::-1, :, :], axis=-3)", verify=False),
+    Mutant("signed-zero-start-dropped", "src/seqbell/bell.py",
+           "[..., -1] + 0.0", "[..., -1]", verify=False),
     # channel-properties draws each member's angle after its strategy. Test-only:
     # other draws give other but equally passing values; the reference loop owns it.
     Mutant("channel-draw-order", "src/seqbell/verify.py",
