@@ -28,7 +28,8 @@ and the simulated path must reproduce them to ~1e-10; that agreement is
 the central correctness check of the package. The simulation never
 evaluates them. One kernel simulates a 1-D array of angles (``branch_arrays``),
 bitwise as one angle at a time; each per-angle function is its N = 1 call. Its
-operators are built and checked once per process, on first use, and are read-only.
+operators are built and checked once per process, on first use, and are read-only,
+so ``cmatrix.kron`` also makes each of their Kronecker products once per process.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
 biases and then computes the three other branches once; each row is bitwise one bias alone.
 """

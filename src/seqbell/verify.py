@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
-from .cmatrix import EYE2, is_hermitian, is_idempotent, kron
+from .cmatrix import EYE2, is_hermitian, is_idempotent, kron, kron_memo
 from .feasibility import (
     grid_to_csv,
     p_window_genuine,
@@ -96,7 +96,7 @@ def _random_strategy(rng) -> tuple[tuple, float]:
 
 def check_matrix_identities() -> list[Measurement]:
     rng = np.random.default_rng(11)
-    alphabet = [pauli(ax) for ax in "xyz"] + [EYE2]
+    alphabet = [pauli(ax) for ax in "xyz"] + [EYE2.copy()]  # writeable: kron multiplies afresh
     dev = 0.0
     # Kronecker associativity: exact on the operator alphabet in use.
     for a in alphabet:
@@ -108,7 +108,12 @@ def check_matrix_identities() -> list[Measurement]:
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         dev = _worst(dev, abs(np.trace(a @ b) - np.trace(b @ a)),
                      np.abs(kron(a, b).conj().T - kron(a.conj().T, b.conj().T)))
-    return [("max deviation", dev, 1e-12)]
+    # Once the kernel has run for both kinds, each product in the kron memo is a fresh one.
+    branch_arrays("standard", [PHI_MAX])
+    branch_arrays("genuine", [PHI_MAX], 0.5)
+    stale = sum(kron(a.copy(), b.copy()).tobytes() != product.tobytes()
+                for a, b, product in kron_memo())
+    return [("max deviation", dev, 1e-12), ("memoized products unlike a fresh kron", stale, 0)]
 
 
 def check_state_invariants() -> list[Measurement]:

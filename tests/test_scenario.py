@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqbell import bell, scenario
+from seqbell import bell, cmatrix, scenario
 from seqbell.scenario import (
     SCENARIOS,
     branch_arrays,
@@ -247,6 +247,34 @@ class TestOperators:
                     a[0, 0] = 0.0
                 with pytest.raises(ValueError):
                     a *= 2
+
+
+class TestKronMemo:
+    """Branch values do not depend on whether the kron memo is cold, warm or off."""
+
+    PHI = np.linspace(0.0, PI4, 9)
+    CASES = (("standard", None), ("genuine", 0.8), ("genuine", [0.3, 0.8, 20 / 21]))
+
+    def test_cold_warm_and_off_give_the_same_bytes(self, monkeypatch):
+        for kind, v in self.CASES:
+            monkeypatch.setattr(cmatrix, "_MEMO", {})
+            cold, warm = ([x.tobytes() for x in branch_arrays(kind, self.PHI, v)]
+                          for _ in range(2))
+            monkeypatch.setattr(cmatrix, "MEMO_CAP", 0)
+            monkeypatch.setattr(cmatrix, "_MEMO", {})
+            off = [x.tobytes() for x in branch_arrays(kind, self.PHI, v)]
+            assert cmatrix.kron_memo() == ()
+            monkeypatch.undo()
+            assert cold == warm == off, (kind, v)
+
+    def test_further_angles_and_biases_store_nothing(self, monkeypatch):
+        monkeypatch.setattr(cmatrix, "_MEMO", {})
+        for kind, v in self.CASES:
+            branch_arrays(kind, self.PHI, v)
+        stored = [tuple(map(id, entry)) for entry in cmatrix.kron_memo()]
+        branch_arrays("standard", self.PHI[1:] / 2)
+        branch_arrays("genuine", self.PHI[1:] / 2, [0.1, 0.9])
+        assert [tuple(map(id, entry)) for entry in cmatrix.kron_memo()] == stored
 
 
 class TestPinnedValues:

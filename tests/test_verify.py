@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import seqbell.cmatrix as cmatrix
 import seqbell.feasibility as feasibility
 import seqbell.verify as verify
 from seqbell.luders import luders_update
@@ -22,6 +23,7 @@ from seqbell.qstate import (
     bloch_obs,
     ghz,
     identity_measurement,
+    pauli,
     projective_from_observable,
     to_density,
 )
@@ -138,6 +140,16 @@ def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch):
     result = run_one(monkeypatch, "classical-bounds")
     assert not result.passed
     assert "hybrid tables whose lone party reads a paired input 1 (tol 0)" in result.detail
+
+
+def test_stale_kron_memo_entry_fails_matrix_identities(monkeypatch):
+    a, b = pauli("x"), pauli("z")
+    a.flags.writeable = b.flags.writeable = False
+    stale = np.zeros((4, 4), dtype=complex)  # not X (x) Z
+    monkeypatch.setattr(cmatrix, "_MEMO", {(id(a), id(b)): (a, b, stale)})
+    result = run_one(monkeypatch, "matrix-identities")
+    assert not result.passed
+    assert "memoized products unlike a fresh kron 1 (tol 0)" in result.detail
 
 
 def test_checks_do_not_load_the_cli():

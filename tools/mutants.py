@@ -6,10 +6,13 @@ Copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory and checks that the unmutated copy passes. It then applies one
 textual mutant at a time (its text must occur exactly once in its file),
 runs the Tier-1 suite and ``seqbell verify`` on the copy, and reports the
-tests and checks that failed. A mutant that neither fails is a survivor,
-and so is a mutant marked ``verify=True`` that ``verify`` lets through,
-even when a test kills it. Exits 1 if the unmutated copy fails or any
-mutant survives. Standard library only.
+tests and checks that failed. The suite runs under the ``probe`` Hypothesis
+profile of ``tests/conftest.py``, which does not shrink a failing example:
+a mutant is killed by the failure itself, not by its smallest example. A
+mutant that neither fails is a survivor, and so is a mutant marked
+``verify=True`` that ``verify`` lets through, even when a test kills it.
+Exits 1 if the unmutated copy fails or any mutant survives. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ MUTANTS = (
     # and the lone party of a hybrid LHV strategy reads a paired party's input.
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
+    # The kron memo keys a product on its left operand alone, so two products
+    # with the same left operand both return the first one made.
+    Mutant("kron-memo-drops-second-operand", "src/seqbell/cmatrix.py",
+           "    key = id(a), id(b)\n"
+           "    entry = _MEMO.get(key)\n"
+           "    if entry is not None and entry[0] is a and entry[1] is b and",
+           "    key = id(a)\n"
+           "    entry = _MEMO.get(key)\n"
+           "    if entry is not None and entry[0] is a and", verify=True),
+    # The memo stores products of writeable operands too. Test-only: no valid run
+    # changes an operand after multiplying it; the memo tests in
+    # tests/test_cmatrix.py own it.
+    Mutant("kron-memo-caches-writeable", "src/seqbell/cmatrix.py",
+           "    return not x.flags.writeable and (\n", "    return (\n", verify=False),
     # The imaginary-residue guard reads only the first correlator of a stack.
     # Test-only: every operator a valid run builds is Hermitian, so the guard
     # never fires in verify; the last-correlator test in tests/test_bell.py owns it.
@@ -106,7 +123,8 @@ MUTANTS = (
 def run_tier1(work: Path, env: dict) -> list[str]:
     """Ids of the failing Tier-1 tests (``["<no summary>"]`` if pytest failed without one)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "tests"],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--hypothesis-profile", "probe", "tests"],
         cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
