@@ -190,10 +190,10 @@ def cmd_windows(args) -> int:
     print(f"phi threshold, standard scenario: {phi_threshold_standard():.4f}")
     print(f"v threshold, genuine scenario:    {v_threshold_genuine():.4f}")
     for v in v_list:
-        if v <= v_threshold_genuine():
-            print(f"v = {v:.4f}: no window (v below {v_threshold_genuine():.4f})")
+        window = p_window_genuine(PHI_MAX, v)  # the widest: sin 2phi is largest at pi/4
+        if window.empty:
+            print(f"v = {v:.4f}: no window (a window needs v > {v_threshold_genuine():.4f})")
             continue
-        window = p_window_genuine(PHI_MAX, v)
         print(f"v = {v:.4f}: phi threshold {phi_threshold_genuine(v):.4f}, "
               f"p window at phi = pi/4: ({window.lo:.4f}, {window.hi:.4f})")
     return 0
@@ -230,7 +230,9 @@ def _bias(value: str) -> float:
 
 
 def _output_path(value: str) -> str:
-    """Reject an existing target that the atomic rename must not replace."""
+    """Reject an empty path, and an existing target that the atomic rename must not replace."""
+    if not value:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.exists(value) and not os.path.isfile(value):
         raise argparse.ArgumentTypeError(f"{value} exists and is not a regular file")
     # The rename would unlink stdout's own file, losing the summary printed after it.

@@ -28,8 +28,8 @@ and the simulated path must reproduce them to ~1e-10; that agreement is
 the central correctness check of the package. The simulation never
 evaluates them. One kernel simulates a 1-D array of angles (``branch_arrays``),
 bitwise as one angle at a time; each per-angle function is its N = 1 call. Its
-operators are built and checked once per process, on first use, and are read-only,
-so ``cmatrix.kron`` also makes each of their Kronecker products once per process.
+operators are built and checked once per process, on first use, and registered with
+``cmatrix.constant``, so ``cmatrix.kron`` makes each of their Kronecker products once.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
 biases and then computes the three other branches once; each row is bitwise one bias alone.
 """
@@ -51,7 +51,7 @@ from .bell import (
     mermin_value,
     svetlichny_value,
 )
-from .cmatrix import EYE2
+from .cmatrix import EYE2, constant
 from .luders import luders_update
 from .qstate import (
     bloch_obs,
@@ -136,7 +136,7 @@ def _charlie(pair):
 
 @functools.cache
 def _operators(kind: str):
-    """(settings1, settings2, measurements1, measurements2), checked, then made read-only."""
+    """(settings1, settings2, measurements1, measurements2), checked, then registered constants."""
     scenario = SCENARIOS[kind]
     alice, bob = scenario.alice_bob()
     charlie1, measurements1 = _charlie(scenario.strategy1())
@@ -144,7 +144,7 @@ def _operators(kind: str):
     operators = (check_settings((alice, bob, charlie1)), check_settings((alice, bob, charlie2)),
                  measurements1, measurements2)
     for operator in (o for group in operators for pair in group for o in pair):
-        operator.setflags(write=False)
+        constant(operator)
     return operators
 
 

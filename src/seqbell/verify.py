@@ -96,7 +96,7 @@ def _random_strategy(rng) -> tuple[tuple, float]:
 
 def check_matrix_identities() -> list[Measurement]:
     rng = np.random.default_rng(11)
-    alphabet = [pauli(ax) for ax in "xyz"] + [EYE2.copy()]  # writeable: kron multiplies afresh
+    alphabet = [pauli(ax) for ax in "xyz"] + [EYE2.copy()]  # unregistered: kron multiplies afresh
     dev = 0.0
     # Kronecker associativity: exact on the operator alphabet in use.
     for a in alphabet:

@@ -150,6 +150,20 @@ class TestScanStandard:
         assert stdout.read_text() == "before\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stdout.txt"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_empty_output_path_is_usage_error(self, tmp_path, monkeypatch, capsys, flag):
+        # An empty path would put the temp file in the parent directory, then fail to
+        # rename it onto the working directory; an empty --svg would be skipped.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        paths = {"--out": ["--out", ""], "--svg": ["--out", "scan.csv", "--svg", ""]}[flag]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "3", *paths])
+        assert exc.value.code == 2
+        assert f"argument {flag}: the path is empty" in capsys.readouterr().err
+        assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
+
     def test_svg_and_csv_to_the_same_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
@@ -408,6 +422,15 @@ class TestWindows:
         out = capsys.readouterr().out
         assert "no window" in out
         assert "0.7071" in out
+
+    def test_empty_window_just_above_threshold(self, capsys):
+        # One ulp above 1/sqrt2 the window at phi = pi/4 rounds to empty: lo > hi.
+        v = math.nextafter(1 / math.sqrt(2), 1.0)
+        assert v > feasibility.v_threshold_genuine()
+        assert feasibility.p_window_genuine(PHI_MAX, v).empty
+        run_cli(["windows", "--v", repr(v)])
+        out = capsys.readouterr().out
+        assert "v = 0.7071: no window" in out and "p window" not in out
 
 
 class TestBounds:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqbell import cmatrix
-from seqbell.cmatrix import EYE2, MEMO_CAP, is_hermitian, is_idempotent, kron, kron_memo
+from seqbell.cmatrix import EYE2, constant, is_hermitian, is_idempotent, kron, kron_memo
 from seqbell.qstate import pauli
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
@@ -114,24 +114,30 @@ def test_predicates():
 
 
 def frozen(x):
-    """A read-only complex array that owns its data."""
+    """A read-only complex array that owns its data, not registered."""
     x = np.array(x, dtype=complex)
     x.flags.writeable = False
     return x
 
 
+def registered(x):
+    """A registered complex constant that owns its data."""
+    return constant(np.array(x, dtype=complex))
+
+
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty kron memo for one test; the process's own memo is put back after it."""
+    """An empty kron memo and a private registry; the process's own are put back after."""
     monkeypatch.setattr(cmatrix, "_MEMO", {})
+    monkeypatch.setattr(cmatrix, "_CONSTANTS", dict(cmatrix._CONSTANTS))
 
 
 class TestMemo:
-    """kron makes each product of read-only operands once, and no other product twice."""
+    """kron makes each product of registered constants once, and no other product twice."""
 
     def test_read_only_operands_give_one_read_only_product(self, memo):
         rng = np.random.default_rng(12)
-        a, b = frozen(random_cmatrix(rng, 2)), frozen(random_cmatrix(rng, 4))
+        a, b = registered(random_cmatrix(rng, 2)), registered(random_cmatrix(rng, 4))
         product = kron(a, b)
         assert product.tobytes() == np.kron(a, b).tobytes() and product.shape == (8, 8)
         assert kron(a, b) is product
@@ -142,14 +148,14 @@ class TestMemo:
             product[0, 0] = 0.0
 
     def test_a_stored_product_is_a_read_only_operand(self, memo):
-        a, b, c = frozen(SX), frozen(SY), EYE2
+        a, b, c = registered(SX), registered(SY), EYE2
         abc = kron(kron(a, b), c)
         assert abc.tobytes() == np.kron(np.kron(SX, SY), I2).tobytes()
         assert kron(kron(a, b), c) is abc and len(kron_memo()) == 2
 
     def test_changing_a_writeable_operand_changes_the_product(self, memo):
         rng = np.random.default_rng(13)
-        a, b = random_cmatrix(rng, 2), frozen(random_cmatrix(rng, 2))
+        a, b = random_cmatrix(rng, 2), registered(random_cmatrix(rng, 2))
         before, before_flipped = kron(a, b), kron(b, a)
         a[0, 1] += 1.0
         after, after_flipped = kron(a, b), kron(b, a)
@@ -158,31 +164,19 @@ class TestMemo:
         assert after_flipped.tobytes() == np.kron(b, a).tobytes()
         assert after.flags.writeable and kron_memo() == ()
 
-    def test_read_only_view_of_a_writeable_array_is_not_stored(self, memo):
-        rng = np.random.default_rng(14)
-        base = random_cmatrix(rng, 3)
+    def test_frozen_but_unregistered_operand_is_multiplied_afresh(self, memo):
+        a, b = frozen(SX), registered(SZ)
+        first, flipped = kron(a, b), kron(b, a)
+        assert kron(a, b) is not first and kron(b, a) is not flipped
+        assert first.tobytes() == np.kron(SX, SZ).tobytes() and first.flags.writeable
+        assert kron_memo() == ()
+
+    def test_a_registered_view_freezes_the_array_it_reads(self, memo):
+        base = np.zeros((3, 3), dtype=complex)
         view = base[:2, :2]
-        view.flags.writeable = False
-        b = frozen(SX)
-        before = kron(view, b)
-        base[0, 0] += 1.0
-        after = kron(view, b)
-        assert not np.array_equal(before, after)
-        assert after.tobytes() == np.kron(view, b).tobytes() and kron_memo() == ()
-
-    def test_operand_made_writeable_again_is_multiplied_afresh(self, memo):
-        a, b = frozen(SX), frozen(SZ)
-        stored = kron(a, b)
-        a.flags.writeable = True
-        a[0, 1] = 2.0
-        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
-        assert not np.array_equal(kron(a, b), stored)
-
-    def test_the_cap_holds(self, memo):
-        pairs = [(frozen([[k]]), EYE2) for k in range(MEMO_CAP + 5)]
-        products = [kron(a, b) for a, b in pairs]
-        assert len(kron_memo()) == MEMO_CAP
-        assert all(p.tobytes() == np.kron(a, b).tobytes() for (a, b), p in zip(pairs, products))
-        # past the cap a product is made, writeable, and not stored
-        assert products[-1].flags.writeable and kron(*pairs[-1]) is not products[-1]
-        assert kron(*pairs[0]) is products[0]
+        assert constant(view) is view and cmatrix._CONSTANTS[id(view)] is view
+        for x in (view, base):
+            with pytest.raises(ValueError):
+                x[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            view.flags.writeable = True

@@ -243,6 +243,7 @@ class TestOperators:
             arrays = [a for group in operators for pair in group for a in pair]
             assert len(arrays) == 20
             for a in arrays:
+                assert cmatrix._CONSTANTS[id(a)] is a
                 with pytest.raises(ValueError):
                     a[0, 0] = 0.0
                 with pytest.raises(ValueError):
@@ -260,7 +261,7 @@ class TestKronMemo:
             monkeypatch.setattr(cmatrix, "_MEMO", {})
             cold, warm = ([x.tobytes() for x in branch_arrays(kind, self.PHI, v)]
                           for _ in range(2))
-            monkeypatch.setattr(cmatrix, "MEMO_CAP", 0)
+            monkeypatch.setattr(cmatrix, "_CONSTANTS", {})  # nothing registered: no product kept
             monkeypatch.setattr(cmatrix, "_MEMO", {})
             off = [x.tobytes() for x in branch_arrays(kind, self.PHI, v)]
             assert cmatrix.kron_memo() == ()

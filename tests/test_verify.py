@@ -143,13 +143,27 @@ def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch):
 
 
 def test_stale_kron_memo_entry_fails_matrix_identities(monkeypatch):
-    a, b = pauli("x"), pauli("z")
-    a.flags.writeable = b.flags.writeable = False
-    stale = np.zeros((4, 4), dtype=complex)  # not X (x) Z
+    a, b = cmatrix.constant(pauli("x")), cmatrix.constant(pauli("z"))
+    stale = cmatrix.constant(np.zeros((4, 4), dtype=complex))  # not X (x) Z
     monkeypatch.setattr(cmatrix, "_MEMO", {(id(a), id(b)): (a, b, stale)})
     result = run_one(monkeypatch, "matrix-identities")
     assert not result.passed
     assert "memoized products unlike a fresh kron 1 (tol 0)" in result.detail
+
+
+def test_kron_memo_holds_the_48_kernel_products(monkeypatch):
+    # 20 products for the standard kernel's operators, 28 for the genuine one's.
+    monkeypatch.setattr(cmatrix, "_MEMO", {})
+    verify.run_checks()
+    stored = cmatrix.kron_memo()
+    assert len(stored) == 48
+    for a, b, product in stored:
+        assert cmatrix._CONSTANTS[id(a)] is a and cmatrix._CONSTANTS[id(b)] is b
+        with pytest.raises(ValueError):
+            product[0, 0] = 0.0
+    feasibility.scan("standard", *feasibility.scan_grid(7, 5))
+    feasibility.scan("genuine", *feasibility.scan_grid(7, 5), v=0.9)
+    assert cmatrix.kron_memo() == stored
 
 
 def test_checks_do_not_load_the_cli():

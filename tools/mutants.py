@@ -77,17 +77,13 @@ MUTANTS = (
     # The kron memo keys a product on its left operand alone, so two products
     # with the same left operand both return the first one made.
     Mutant("kron-memo-drops-second-operand", "src/seqbell/cmatrix.py",
-           "    key = id(a), id(b)\n"
-           "    entry = _MEMO.get(key)\n"
-           "    if entry is not None and entry[0] is a and entry[1] is b and",
-           "    key = id(a)\n"
-           "    entry = _MEMO.get(key)\n"
-           "    if entry is not None and entry[0] is a and", verify=True),
-    # The memo stores products of writeable operands too. Test-only: no valid run
-    # changes an operand after multiplying it; the memo tests in
-    # tests/test_cmatrix.py own it.
-    Mutant("kron-memo-caches-writeable", "src/seqbell/cmatrix.py",
-           "    return not x.flags.writeable and (\n", "    return (\n", verify=False),
+           "    key = id(a), id(b)\n", "    key = id(a)\n", verify=True),
+    # The memo stores a product when only one operand is registered. Test-only:
+    # no valid run changes an operand after multiplying it; the memo tests in
+    # tests/test_cmatrix.py and tests/test_verify.py own it.
+    Mutant("kron-memo-one-operand-registered", "src/seqbell/cmatrix.py",
+           "if id(a) in _CONSTANTS and id(b) in _CONSTANTS:",
+           "if id(a) in _CONSTANTS or id(b) in _CONSTANTS:", verify=False),
     # The imaginary-residue guard reads only the first correlator of a stack.
     # Test-only: every operator a valid run builds is Hermitian, so the guard
     # never fires in verify; the last-correlator test in tests/test_bell.py owns it.
