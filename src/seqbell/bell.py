@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cmatrix import kron
-from .qstate import check_observable
 
 # ((x, y, z), coefficient) terms. Mermin sums the three single-excitation
 # correlators minus the all-ones one; Svetlichny takes every correlator
@@ -44,14 +43,6 @@ _IMAG_TOL = 1e-10
 
 
 Settings = tuple[tuple[np.ndarray, np.ndarray], ...]  # ((A0, A1), (B0, B1), (C0, C1))
-
-
-def check_settings(settings: Settings) -> Settings:
-    """Return ``settings`` if each of its six observables is 2x2 and squares to I."""
-    for party, pair in zip("abc", settings, strict=True):
-        for x, o in zip((0, 1), pair, strict=True):
-            check_observable(o, f"{party}{x}")
-    return settings
 
 
 def expectation(rho: np.ndarray, a, b, c):

@@ -230,9 +230,13 @@ def _bias(value: str) -> float:
 
 
 def _output_path(value: str) -> str:
-    """Reject an empty path, and an existing target that the atomic rename must not replace."""
+    """Reject an empty path, one in no existing directory (symlinks followed, as
+    ``_write_atomic`` does), and an existing target that the atomic rename must not replace."""
     if not value:
         raise argparse.ArgumentTypeError("the path is empty")
+    directory = os.path.dirname(os.path.realpath(value))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"{value}: {directory} is not an existing directory")
     if os.path.exists(value) and not os.path.isfile(value):
         raise argparse.ArgumentTypeError(f"{value} exists and is not a regular file")
     # The rename would unlink stdout's own file, losing the summary printed after it.

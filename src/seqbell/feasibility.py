@@ -4,7 +4,7 @@ Closed-form windows for the mixing probability p follow directly from the
 mixture values:
 
   standard:  1/sin(2phi) - 1       < p < 3 - 2/sin(2phi)
-  genuine:   sqrt2/sin(2phi) - 1   < p < 1 + 1/v - sqrt2/(v sin(2phi))
+  genuine:   sqrt2/sin(2phi) - 1   < p < 1 - (sqrt2/sin(2phi) - 1)/v
 
 both clamped to [0, 1]. Solving "window nonempty" for the state angle
 gives the thresholds
@@ -71,10 +71,14 @@ def phi_threshold_standard() -> float:
 
 
 def p_window_genuine(phi: float, v: float) -> Interval:
-    """Mixing probabilities giving S1 > 4 and S2 > 4 simultaneously."""
+    """Mixing probabilities giving S1 > 4 and S2 > 4 simultaneously.
+
+    The upper end divides by v alone, so a subnormal v overflows it to -inf, not to NaN.
+    """
     s = _window_sine(phi)
     check_v(v)
-    return Interval.clamped(SQRT2 / s - 1, 1 + 1 / v - SQRT2 / (v * s))
+    lo = SQRT2 / s - 1
+    return Interval.clamped(lo, 1 - lo / v)
 
 
 def p_window(kind: str, phi: float, v: float | None = None) -> Interval:

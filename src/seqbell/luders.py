@@ -18,7 +18,8 @@ The weighted products are evaluated as one stack and added along the effect
 axis with ``np.add.accumulate``, which adds in index order (``.sum`` promises
 no order): the same order, and so the same bits, as adding them one by one
 into a zero state. A zero start turns a -0.0 entry into +0.0; the trailing
-``+ 0.0`` does the same.
+``+ 0.0`` does the same. An input of weight 0.0 adds signed zeros, so the bits
+are those of skipping it.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
     weights = (prob_z0, 1.0 - prob_z0)
     e8, q = [], []
     for weight, meas in zip(weights, measurements, strict=True):
-        if weight == 0.0:
-            continue
         for effect in meas:
             e8.append(embed_third(effect))
             q.append(weight)

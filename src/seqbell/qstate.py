@@ -12,8 +12,8 @@ Conventions used throughout the package:
 * A dichotomic measurement is its effect pair ``(effect0, effect1)`` of
   2x2 arrays: ``effect0`` for outcome +1, ``effect1`` for -1. Its
   observable is ``effect0 - effect1``. The identity measurement ``(I, 0)``
-  is the degenerate member of the same family, so downstream code never
-  needs a special case for it.
+  is the degenerate member of the same family, made by the same
+  constructor, so downstream code never needs a special case for it.
 """
 
 from __future__ import annotations
@@ -110,30 +110,22 @@ def check_effects(effects: EffectPair) -> EffectPair:
     return effects
 
 
-def check_observable(o: np.ndarray, name: str = "observable") -> np.ndarray:
-    """Return ``o`` if it is 2x2 and squares to I (a +-1 observable, the identity allowed)."""
-    if o.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got {o.shape}")
-    if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
-        raise ValueError(f"{name} does not square to the identity")
-    return o
-
-
 def projective_from_observable(o: np.ndarray) -> EffectPair:
-    """Spectral measurement of a genuine +-1 observable: effects (I +- o)/2.
+    """Spectral measurement of a +-1 observable ``o``: effects (I +- o)/2.
 
-    The input must square to the identity and be traceless; for the
-    deterministic identity input use :func:`identity_measurement` instead.
+    ``o`` must be 2x2 and square to the identity; this is the one check of a
+    Charlie observable. +-I is allowed and gives the degenerate pair (I, 0) or
+    (0, I): the entries 1/2 +- 1/2 are exact.
     """
-    o = check_observable(np.asarray(o, dtype=complex))
-    if not abs(o.trace()) <= DEFAULT_TOL:
-        raise ValueError(
-            "observable is not traceless; use identity_measurement() for the identity"
-        )
+    o = np.asarray(o, dtype=complex)
+    if o.shape != (2, 2):
+        raise ValueError(f"observable must be 2x2, got {o.shape}")
+    if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
+        raise ValueError("observable does not square to the identity")
     half = EYE2 / 2
     return check_effects((half + o / 2, half - o / 2))
 
 
 def identity_measurement() -> EffectPair:
     """The trivial measurement: outcome +1 with certainty, state untouched."""
-    return check_effects((EYE2.copy(), np.zeros((2, 2), dtype=complex)))
+    return projective_from_observable(EYE2)

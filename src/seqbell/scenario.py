@@ -47,7 +47,6 @@ from .bell import (
     MERMIN_CLASSICAL_BOUND,
     SVETLICHNY_CLASSICAL_BOUND,
     Settings,
-    check_settings,
     mermin_value,
     svetlichny_value,
 )
@@ -136,13 +135,12 @@ def _charlie(pair):
 
 @functools.cache
 def _operators(kind: str):
-    """(settings1, settings2, measurements1, measurements2), checked, then registered constants."""
+    """(settings1, settings2, measurements1, measurements2) as built, registered constants."""
     scenario = SCENARIOS[kind]
     alice, bob = scenario.alice_bob()
     charlie1, measurements1 = _charlie(scenario.strategy1())
     charlie2, measurements2 = _charlie(scenario.strategy2())
-    operators = (check_settings((alice, bob, charlie1)), check_settings((alice, bob, charlie2)),
-                 measurements1, measurements2)
+    operators = ((alice, bob, charlie1), (alice, bob, charlie2), measurements1, measurements2)
     for operator in (o for group in operators for pair in group for o in pair):
         constant(operator)
     return operators

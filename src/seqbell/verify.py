@@ -346,7 +346,7 @@ def check_window_monotonicity() -> list[Measurement]:
         ("second-round value steps not increasing in bias",
          sum(not b > a for a, b in zip(s2, s2[1:])), 0),
         ("biases where window nonempty != (v > 1/sqrt2)",
-         sum((not p_window_genuine(PHI_MAX, float(v)).empty) != (v > 1 / SQRT2)
+         sum((not p_window_genuine(PHI_MAX, float(v)).empty) != (v > v_threshold_genuine())
              for v in v_grid), 0),
     ]
 

@@ -6,7 +6,6 @@ import pytest
 from seqbell.bell import (
     MERMIN_TERMS,
     SVETLICHNY_TERMS,
-    check_settings,
     expectation,
     mermin_value,
     svetlichny_value,
@@ -36,15 +35,15 @@ def correlator(rho, a, b, c):
 
 
 def standard_settings(c0, c1):
-    return check_settings(((SX, SY), (-SY, SX), (c0, c1)))
+    return ((SX, SY), (-SY, SX), (c0, c1))
 
 
 def genuine_settings(c0, c1):
-    return check_settings((
+    return (
         (SX, SY),
         (bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0), bloch_obs(1 / SQRT2, 1 / SQRT2, 0.0)),
         (c0, c1),
-    ))
+    )
 
 
 class TestExpectation:
@@ -183,7 +182,7 @@ class TestInequalityValues:
                 n = rng.normal(size=3)
                 n /= np.linalg.norm(n)
                 obs.append(bloch_obs(*n))
-            settings = check_settings(((obs[0], obs[1]), (obs[2], obs[3]), (obs[4], obs[5])))
+            settings = ((obs[0], obs[1]), (obs[2], obs[3]), (obs[4], obs[5]))
             rho = to_density(ghz(float(rng.random()) * math.pi / 4))
             assert abs(mermin_value(rho, settings)) <= 4 + 1e-10
             assert abs(svetlichny_value(rho, settings)) <= 8 + 1e-10
@@ -210,14 +209,6 @@ class TestLinearity:
                           + (1 - p) * svetlichny_value(rho2, settings))
             assert svetlichny_value(mixed, settings) == pytest.approx(expected_s, abs=1e-12)
 
-    def test_settings_reject_non_involutive(self):
-        with pytest.raises(ValueError):
-            check_settings(((0.5 * SX, SY), (SX, SY), (SX, SY)))
-
-    def test_settings_reject_wrong_shape(self):
-        with pytest.raises(ValueError, match="b1 must be 2x2"):
-            check_settings(((SX, SY), (SX, np.eye(4)), (SX, SY)))
-
 
 def _nan_density():
     rho = to_density(ghz(0.3))
@@ -238,7 +229,6 @@ NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
 @pytest.mark.parametrize("call, error, match", [
     (lambda: to_density(np.full(8, np.nan)), ValueError, None),
     (lambda: bloch_obs(np.nan, 0.0, 1.0), ValueError, None),
-    (lambda: check_settings(((NAN_OBS, SY), (SX, SY), (SX, SY))), ValueError, None),
     (lambda: luders_update(_nan_density(), (
         projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, None),
     (lambda: correlator(_nan_density(), SX, SX, SX), RuntimeError, None),
@@ -248,7 +238,7 @@ NAN_OBS = np.full((2, 2), np.nan, dtype=complex)
     (lambda: luders_update(_nan_batch(), (
         projective_from_observable(SX), projective_from_observable(SY))), RuntimeError, "trace"),
     (lambda: correlator(_nan_batch(), SX, SX, SX), RuntimeError, "imaginary"),
-], ids=["to_density", "bloch_obs", "settings", "luders_update", "expectation",
+], ids=["to_density", "bloch_obs", "luders_update", "expectation",
         "projective_from_observable", "to_density_batch", "luders_update_batch",
         "expectation_batch"])
 def test_nan_fails_kernel_guards(call, error, match):

@@ -84,7 +84,16 @@ class TestScanStandard:
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
         assert stat.S_IMODE(svg.stat().st_mode) == 0o644
 
-    def test_unwritable_path_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_path_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # The directory is there when the arguments are parsed and gone when the CSV is written.
+        (tmp_path / "missing").mkdir()
+        scan = cli.scan
+
+        def scan_then_remove_directory(*args, **kwargs):
+            (tmp_path / "missing").rmdir()
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scan", scan_then_remove_directory)
         out = tmp_path / "missing" / "scan.csv"
         assert run_cli(["scan-standard", "--grid-phi", "4", "--grid-p", "4",
                         "--out", str(out)]) == 2
@@ -163,6 +172,24 @@ class TestScanStandard:
         assert exc.value.code == 2
         assert f"argument {flag}: the path is empty" in capsys.readouterr().err
         assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                        flag):
+        # Rejected while parsing, before any scan work; a link is followed to its target.
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli, "scan", no_scan)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "nodir" / "new.csv")
+        for path in (tmp_path / "nodir" / "x.csv", tmp_path / "link.csv"):
+            paths = {"--out": ["--out", str(path)],
+                     "--svg": ["--out", str(tmp_path / "scan.csv"), "--svg", str(path)]}[flag]
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["scan-standard", "--grid-phi", "3", "--grid-p", "3", *paths])
+            assert exc.value.code == 2
+            assert f"argument {flag}: {path}" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
 
     def test_svg_and_csv_to_the_same_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -333,19 +360,12 @@ def traced_peak(fn, *args):
 
 class TestOutputMemory:
     def test_csv_is_built_in_one_buffer(self):
-        # Row blocks kept in a list and then joined would hold the text twice,
-        # a peak above 2x the output; one growing buffer stays near 1.3x.
+        # Beside the output the writer holds the buffer's growth slack (up to an
+        # eighth of the output, 2.5 of its 20 phi row blocks), the template, its
+        # spliced copy, one block's values and its formatted text: about 5.2 blocks
+        # at any n_p. Row blocks kept in a list and then joined, or any other copy
+        # of the output, would add 20.
         grid = scan("genuine", *scan_grid(20, 1000), v=0.9)
-        data, peak = traced_peak(cli.grid_to_csv, grid)
-        assert peak <= 1.5 * len(data)
-
-    def test_wide_csv_holds_the_output_and_a_few_row_blocks(self):
-        # The 20x25000 grid of the wide scan, 1.6 MB per phi row block. Beside the
-        # output the writer holds the buffer's growth slack (up to an eighth of the
-        # output, 2.5 blocks), the template, its spliced copy, one block's values
-        # and its formatted text: about 5.2 blocks in all. A copy of the output
-        # would add 20.
-        grid = scan("genuine", *scan_grid(20, 25000), v=0.9)
         data, peak = traced_peak(cli.grid_to_csv, grid)
         block = len(data) / grid.phi.size
         assert peak <= len(data) + 6 * block
@@ -359,6 +379,17 @@ class TestOutputMemory:
 
 
 class TestScanGenuine:
+    def test_subnormal_bias_scan_and_svg_exit_zero_under_warnings_as_errors(self, tmp_path):
+        # v * sin(2phi) underflows to 0, so the SVG's window upper ends must not divide by it.
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "seqbell.cli", "scan-genuine", "--v", "5e-324",
+             "--grid-phi", "2", "--grid-p", "2", "--out", str(tmp_path / "g.csv"),
+             "--svg", str(tmp_path / "g.svg")],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        ET.parse(tmp_path / "g.svg")
+
     def test_v_column(self, tmp_path):
         out = tmp_path / "scan.csv"
         run_cli(["scan-genuine", "--grid-phi", "6", "--grid-p", "5",

@@ -74,6 +74,14 @@ class TestGenuineWindow:
         for v in np.linspace(0.05, 0.95, 19):
             assert p_window_genuine(PI4, float(v)).empty == (v <= t)
 
+    @pytest.mark.parametrize("v", [5e-324, 1e-310, 1e-300])
+    def test_tiny_bias_gives_an_empty_window_without_nan(self, v):
+        # v * sin(2phi) underflows to 0 and 1/v overflows; the upper end divides by v alone.
+        for phi in (1e-300, 1e-3, 0.3, PI4):
+            w = p_window_genuine(phi, v)
+            assert w.empty
+            assert not math.isnan(w.lo) and not math.isnan(w.hi)
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             p_window_genuine(0.0, 0.8)

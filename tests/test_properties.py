@@ -20,7 +20,6 @@ import seqbell.bell as bell
 from seqbell.bell import (
     MERMIN_TERMS,
     SVETLICHNY_TERMS,
-    check_settings,
     expectation,
     mermin_value,
     svetlichny_value,
@@ -80,7 +79,7 @@ def _measurement(n):
 observables = bloch_or_identity.map(_observable)
 measurement_pairs = st.tuples(bloch_or_identity, bloch_or_identity).map(
     lambda pair: tuple(_measurement(n) for n in pair))
-settings_tuples = st.tuples(*[st.tuples(observables, observables)] * 3).map(check_settings)
+settings_tuples = st.tuples(*[st.tuples(observables, observables)] * 3)
 
 
 @PROPERTY
@@ -156,7 +155,7 @@ def reference_inequality_value(values, terms):
 
 def inequality_value_of(values, terms):
     """``bell._inequality_value`` with ``values`` standing in for its correlators."""
-    any_settings = check_settings(((np.eye(2, dtype=complex),) * 2,) * 3)
+    any_settings = ((np.eye(2, dtype=complex),) * 2,) * 3
     with patch.object(bell, "expectation", lambda rho, a, b, c: values):
         return bell._inequality_value(MAXIMALLY_MIXED, any_settings, terms)
 

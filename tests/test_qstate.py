@@ -158,9 +158,11 @@ class TestMeasurements:
         effect0, effect1 = projective_from_observable(o)
         assert np.allclose(effect0 - effect1, o, atol=1e-15)
 
-    def test_rejects_identity_like(self):
-        with pytest.raises(ValueError):
-            projective_from_observable(I2)
+    def test_plus_and_minus_identity_are_degenerate_pairs(self):
+        for got, want in zip(identity_measurement(), projective_from_observable(I2), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        effect0, effect1 = projective_from_observable(-I2)
+        assert np.array_equal(effect0, np.zeros((2, 2))) and np.array_equal(effect1, I2)
 
     def test_rejects_non_involutive(self):
         with pytest.raises(ValueError):
