@@ -159,8 +159,10 @@ class TestMeasurements:
         assert np.allclose(effect0 - effect1, o, atol=1e-15)
 
     def test_plus_and_minus_identity_are_degenerate_pairs(self):
-        for got, want in zip(identity_measurement(), projective_from_observable(I2), strict=True):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # Both bitwise the (I, 0) built directly: 1/2 + 1/2 and 1/2 - 1/2 are exact.
+        for pair in (identity_measurement(), projective_from_observable(I2)):
+            for got, want in zip(pair, (I2, np.zeros((2, 2), dtype=complex)), strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         effect0, effect1 = projective_from_observable(-I2)
         assert np.array_equal(effect0, np.zeros((2, 2))) and np.array_equal(effect1, I2)
 
