@@ -2,7 +2,8 @@
 
 Everything is a plain ``numpy.ndarray`` of dtype complex128, at most 8x8;
 ``kron`` skips ``np.kron``'s general-rank bookkeeping, costly at that size. The
-predicates (hermiticity, idempotency) check what the rest of the package builds.
+predicates (hermiticity, idempotency) check what the rest of the package builds,
+a stack (..., n, n) as a whole: every member must pass, and NaN fails.
 
 ``kron`` also makes each product of two registered constants once per process:
 the kernel evaluates the same few fixed operators at every angle, and their
@@ -40,7 +41,7 @@ EYE2, EYE4 = constant(np.eye(2, dtype=complex)), constant(np.eye(4, dtype=comple
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b of two matrices: the entrywise products of ``np.kron``.
+    """Kronecker product a (x) b, per member of a stack b: the entrywise products of ``np.kron``.
 
     The product of two registered constants is made on first use, registered
     and returned again after; any other pair gets a fresh, writeable product.
@@ -49,8 +50,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entry = _MEMO.get(key)
     if entry is not None:
         return entry[2]
-    (m, n), (p, q) = a.shape, b.shape
-    product = (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    (m, n), (p, q) = a.shape, b.shape[-2:]
+    product = (a[:, None, :, None] * b[..., None, :, None, :]).reshape(*b.shape[:-2], m * p, n * q)
     if id(a) in _CONSTANTS and id(b) in _CONSTANTS:
         _MEMO[key] = a, b, constant(product)
     return product
@@ -62,14 +63,14 @@ def kron_memo() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
 
 
 def _require_square(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
 def is_hermitian(a: np.ndarray) -> bool:
     """Max-entry deviation from a = a^dagger is at most DEFAULT_TOL."""
     _require_square(a)
-    return bool(np.abs(a - a.conj().T).max() <= DEFAULT_TOL)
+    return bool(np.abs(a - a.conj().swapaxes(-1, -2)).max() <= DEFAULT_TOL)
 
 
 def is_idempotent(a: np.ndarray) -> bool:

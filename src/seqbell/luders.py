@@ -12,7 +12,9 @@ root that the general update rule would require is the effect itself; no
 matrix square root is implemented anywhere in the package.
 
 ``rho`` may carry leading batch axes (..., 8, 8), one channel applied to
-each member; the trace guard reduces over the batch.
+each member. Or each of N states (N, 8, 8) has its own channel: effects
+stacked (N, 2, 2), ``prob_z0`` of shape (N,), or both; a stack of any other
+length raises rather than broadcasts. The guards reduce over the batch.
 
 The weighted products are evaluated as one stack and added along the effect
 axis with ``np.add.accumulate``, which adds in index order (``.sum`` promises
@@ -33,9 +35,9 @@ _TRACE_TOL = 1e-12
 
 
 def embed_third(e: np.ndarray) -> np.ndarray:
-    """Lift a 2x2 operator on qubit C to the 8-dim space: I (x) I (x) e."""
+    """Lift a 2x2 operator on qubit C, or each of a stack, to the 8-dim space: I (x) I (x) e."""
     e = np.asarray(e, dtype=complex)
-    if e.shape != (2, 2):
+    if e.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got {e.shape}")
     return kron(EYE4, e)
 
@@ -53,8 +55,12 @@ def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
         for effect in meas:
             e8.append(embed_third(effect))
             q.append(weight)
-    e8 = np.array(e8)
-    terms = np.array(q)[:, None, None] * (e8 @ rho[..., None, :, :] @ e8)
+    # N channels: (N, 4, 8, 8) and (N, 4). One: (4, 8, 8) and (4,), each swap a no-op.
+    e8, q = np.array(e8).swapaxes(0, -3), np.array(q).T
+    for members in (e8.shape[:-3], q.shape[:-1]):
+        if members and (len(members) > 1 or members != rho.shape[:-2]):
+            raise ValueError(f"channels {members} do not line up with states {rho.shape[:-2]}")
+    terms = q[..., None, None] * (e8 @ rho[..., None, :, :] @ e8)
     out = np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
     drift = np.abs(out.trace(axis1=-2, axis2=-1) - rho.trace(axis1=-2, axis2=-1)).max()
     if not drift <= _TRACE_TOL:

@@ -7,8 +7,8 @@ Conventions used throughout the package:
   ordering A (x) B (x) C used when evaluating correlators.
 * Angles are radians everywhere.
 * States may carry leading batch axes, one state per angle: ``ghz`` of N
-  angles is (N, 8), its density (N, 8, 8). Guards reduce over the batch,
-  NaN-failing, so one bad member rejects the whole batch.
+  angles is (N, 8), its density (N, 8, 8); observables and effects (..., 2, 2).
+  Guards reduce over the batch, NaN-failing: one bad member rejects it all.
 * A dichotomic measurement is its effect pair ``(effect0, effect1)`` of
   2x2 arrays: ``effect0`` for outcome +1, ``effect1`` for -1. Its
   observable is ``effect0 - effect1``. The identity measurement ``(I, 0)``
@@ -57,9 +57,10 @@ def check_phi(phi) -> None:
 
 
 def check_p(p: float, name: str = "p") -> None:
-    """Reject a probability outside [0, 1] or NaN; a scalar compare, cheap per call."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name}={p} outside [0, 1]")
+    """Reject a probability, or the first bad one of an array, outside [0, 1] or NaN."""
+    for member in p.flat if isinstance(p, np.ndarray) else (p,):
+        if not 0.0 <= member <= 1.0:
+            raise ValueError(f"{name}={member} outside [0, 1]")
 
 
 # math.cos/math.sin applied per angle: libm's result, the same for one angle or many.
@@ -89,11 +90,12 @@ def to_density(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def bloch_obs(nx: float, ny: float, nz: float) -> np.ndarray:
-    """The +-1 observable n . sigma for a unit Bloch vector n."""
+def bloch_obs(nx, ny, nz) -> np.ndarray:
+    """The +-1 observable n . sigma for a unit Bloch vector n; component arrays give a stack."""
+    nx, ny, nz = np.asarray([nx, ny, nz], dtype=float)[..., None, None]
     norm2 = nx * nx + ny * ny + nz * nz
-    if not abs(norm2 - 1.0) <= 1e-10:
-        raise ValueError(f"Bloch vector not unit length: |n|^2 = {norm2}")
+    if (bad := ~(np.abs(norm2 - 1.0) <= 1e-10)).any():
+        raise ValueError(f"Bloch vector not unit length: |n|^2 = {norm2[bad][0]}")
     return nx * _PAULI["x"] + ny * _PAULI["y"] + nz * _PAULI["z"]
 
 
@@ -101,7 +103,7 @@ def check_effects(effects: EffectPair) -> EffectPair:
     """Return ``(effect0, effect1)`` if both are 2x2 idempotent Hermitian and sum to I."""
     effect0, effect1 = effects
     for name, e in (("effect0", effect0), ("effect1", effect1)):
-        if e.shape != (2, 2):
+        if e.shape[-2:] != (2, 2):
             raise ValueError(f"{name} must be 2x2, got {e.shape}")
         if not is_hermitian(e) or not is_idempotent(e):
             raise ValueError(f"{name} is not an idempotent Hermitian effect")
@@ -113,12 +115,12 @@ def check_effects(effects: EffectPair) -> EffectPair:
 def projective_from_observable(o: np.ndarray) -> EffectPair:
     """Spectral measurement of a +-1 observable ``o``: effects (I +- o)/2.
 
-    ``o`` must be 2x2 and square to the identity; this is the one check of a
-    Charlie observable. +-I is allowed and gives the degenerate pair (I, 0) or
-    (0, I): the entries 1/2 +- 1/2 are exact.
+    ``o`` must be 2x2, or a stack (..., 2, 2), and square to the identity; this
+    is the one check of a Charlie observable. +-I is allowed and gives the
+    degenerate pair (I, 0) or (0, I): the entries 1/2 +- 1/2 are exact.
     """
     o = np.asarray(o, dtype=complex)
-    if o.shape != (2, 2):
+    if o.shape[-2:] != (2, 2):
         raise ValueError(f"observable must be 2x2, got {o.shape}")
     if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
         raise ValueError("observable does not square to the identity")

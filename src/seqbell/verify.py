@@ -145,11 +145,17 @@ def check_channel_properties() -> list[Measurement]:
         phi[i] = float(rng.random()) * PHI_MAX
         draws.append(_random_strategy(rng))
     rho = to_density(ghz(phi))
+    # All 2,000 observables as one stack (member, input, 2, 2); I where a draw is None.
+    axes = [n for pair, _ in draws for n in pair]
+    unit = np.array([(0.0, 0.0, 1.0) if n is None else n for n in axes])
+    identity = np.array([n is None for n in axes])[:, None, None]
+    observables = np.where(identity, EYE2, bloch_obs(*unit.T)).reshape(phi.size, 2, 2, 2)
+    effect0, effect1 = projective_from_observable(observables)
+    prob_z0 = np.array([q for _, q in draws])
     out = np.empty_like(rho)
-    for i, (axes, prob_z0) in enumerate(draws):
-        measurements = tuple(identity_measurement() if n is None
-                             else projective_from_observable(bloch_obs(*n)) for n in axes)
-        out[i] = luders_update(rho[i], measurements, prob_z0)
+    for k in range(0, phi.size, 100):  # in blocks: all 1,000 members at once peak at 15 MiB
+        measurements = tuple((effect0[k:k + 100, z], effect1[k:k + 100, z]) for z in (0, 1))
+        out[k:k + 100] = luders_update(rho[k:k + 100], measurements, prob_z0[k:k + 100])
     do_nothing = (identity_measurement(), identity_measurement())
     rho = to_density(ghz(0.5))
     fixed_dev = _worst(np.abs(luders_update(rho, do_nothing) - rho))

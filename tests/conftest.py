@@ -1,4 +1,5 @@
-"""Hypothesis profiles of the suite.
+"""Hypothesis profiles of the suite, the kernel's operators built before any test, and
+a fixture that measures a call's traced memory peak.
 
 ``probe`` runs every phase but shrinking and the explanation that follows it.
 A mutant fails a property test whether or not its failing example is shrunk,
@@ -6,7 +7,46 @@ so ``tools/mutants.py`` selects it with ``--hypothesis-profile probe``; any
 other run keeps Hypothesis's default profile.
 """
 
+import tracemalloc
+
+import pytest
 from hypothesis import Phase, settings
+
+from seqbell.scenario import SCENARIOS, _operators
 
 settings.register_profile(
     "probe", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+
+
+def pytest_sessionstart(session):
+    """Build and register each scenario's operators once, before any test runs.
+
+    ``_operators`` registers them with ``cmatrix.constant`` on its first call
+    only. A test that swaps the registry for a temporary one would otherwise
+    leave them registered there alone, if it made the process's first kernel
+    call, and ``kron`` would memoize none of their products for the rest of
+    the session.
+    """
+    for kind in SCENARIOS:
+        _operators(kind)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory it had traced at once above what it started with."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

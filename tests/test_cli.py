@@ -4,7 +4,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -342,24 +341,8 @@ class TestGridWriters:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == digests["svg"]
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the most memory it had traced at once above what it started with."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return result, peak
-
-
 class TestOutputMemory:
-    def test_csv_is_built_in_one_buffer(self):
+    def test_csv_is_built_in_one_buffer(self, traced_peak):
         # Beside the output the writer holds the buffer's growth slack (up to an
         # eighth of the output, 2.5 of its 20 phi row blocks), the template, its
         # spliced copy, one block's values and its formatted text: about 5.2 blocks
@@ -370,7 +353,7 @@ class TestOutputMemory:
         block = len(data) / grid.phi.size
         assert peak <= len(data) + 6 * block
 
-    def test_atomic_write_makes_no_copy(self, tmp_path):
+    def test_atomic_write_makes_no_copy(self, tmp_path, traced_peak):
         data = b"0123456789abcde\n" * (1 << 19)  # 8 MiB
         out = tmp_path / "out.csv"
         _, peak = traced_peak(cli._write_atomic, str(out), data)

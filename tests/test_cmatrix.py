@@ -113,6 +113,23 @@ def test_predicates():
         is_hermitian(np.ones((2, 3), dtype=complex))
 
 
+def test_predicates_and_kron_on_stacks():
+    rng = np.random.default_rng(14)
+    stack = np.stack([(I2 + SX) / 2, (I2 - SZ) / 2, I2])
+    assert is_hermitian(stack) and is_idempotent(stack)
+    for bad in (SX, np.full((2, 2), np.nan)):  # one member not idempotent, or NaN
+        members = stack.copy()
+        members[1] = bad
+        assert not is_idempotent(members)
+    members[1] = 1j * SX
+    assert not is_hermitian(members)
+    with pytest.raises(ValueError):
+        is_idempotent(np.ones((3, 2, 3), dtype=complex))
+    b = np.stack([random_cmatrix(rng, 2) for _ in range(3)])
+    for a in (EYE2, random_cmatrix(rng, 4)):
+        assert kron(a, b).tobytes() == np.stack([np.kron(a, m) for m in b]).tobytes()
+
+
 def frozen(x):
     """A read-only complex array that owns its data, not registered."""
     x = np.array(x, dtype=complex)

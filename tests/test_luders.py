@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,3 +128,40 @@ def test_identity_strategy_is_fixed_point():
     rho = to_density(ghz(0.4))
     do_nothing = (identity_measurement(), identity_measurement())
     assert np.max(np.abs(luders_update(rho, do_nothing) - rho)) < 1e-14
+
+
+def stacked(*pairs):
+    """Per-member measurement pairs as one pair of effect stacks (N, 2, 2) per input."""
+    return tuple(tuple(np.stack([pair[z][c] for pair in pairs]) for c in (0, 1))
+                 for z in (0, 1))
+
+
+THREE = stacked(BOTH_PROJECTIVE, ONE_IDENTITY, BOTH_PROJECTIVE)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_one_bad_bias_rejects_the_whole_stack(bad):
+    rho = to_density(ghz(np.array([0.1, 0.2, 0.3])))
+    with pytest.raises(ValueError, match=re.escape(f"prob_z0={bad} outside [0, 1]")):
+        luders_update(rho, THREE, np.array([0.2, bad, 0.7]))
+
+
+@pytest.mark.parametrize("measurements, prob_z0, phi", [
+    (THREE, 0.5, [0.1, 0.2]),  # 3 members' effects, 2 states
+    (THREE, 0.5, [0.1, 0.2, 0.3, 0.4]),
+    (THREE, 0.5, 0.3),  # one state, not a stack of them
+    (stacked(BOTH_PROJECTIVE), 0.5, [0.1, 0.2, 0.3]),  # a stack of one does not broadcast
+    (BOTH_PROJECTIVE, np.full(3, 0.5), [0.1, 0.2]),
+    (BOTH_PROJECTIVE, np.full(1, 0.5), [0.1, 0.2, 0.3]),
+    (BOTH_PROJECTIVE, np.full(3, 0.5), 0.3),
+    # A 2x3 grid of channels on a 2x3 grid of states: a stack has one member axis.
+    (tuple(tuple(np.stack([e, e]) for e in pair) for pair in THREE), 0.5, [[0.1, 0.2, 0.3]] * 2),
+])
+def test_channels_that_do_not_line_up_with_the_states_raise(measurements, prob_z0, phi):
+    with pytest.raises(ValueError, match="do not line up"):
+        luders_update(to_density(ghz(np.array(phi))), measurements, prob_z0)
+
+
+def test_embed_third_lifts_each_member_of_a_stack():
+    stack = np.stack([pauli("x"), pauli("y"), np.eye(2, dtype=complex)])
+    assert embed_third(stack).tobytes() == np.stack([embed_third(e) for e in stack]).tobytes()

@@ -223,3 +223,45 @@ X_THEN_IDENTITY = (projective_from_observable(pauli("x")), identity_measurement(
 def test_update_is_the_effect_by_effect_loop(rho, measurements, prob_z0):
     assert_same_bits(luders_update(rho, measurements, prob_z0),
                      reference_luders_update(rho, measurements, prob_z0))
+
+
+# A member of a stack: its own state (pure, or GHZ-class with many exact zeros), its
+# own measurement per input and its own prob_z0. A stack of one is bitwise one call.
+ghz_states = st.floats(0.0, PHI_MAX).map(lambda phi: to_density(ghz(phi)))
+stack_members = st.tuples(st.one_of(pure_states(), ghz_states),
+                          st.tuples(bloch_or_identity, bloch_or_identity), prob_z0s)
+ONE_MEMBER = [(GHZ_EDGES[1], ((0.0, 0.0, 1.0), None), 0.0)]
+
+
+def batched(members):
+    """``members`` as batched arguments (rho, measurements, prob_z0), and the per-member pairs."""
+    rho = np.stack([r for r, _, _ in members])
+    pairs = [tuple(_measurement(n) for n in axes) for _, axes, _ in members]
+    measurements = tuple(tuple(np.stack([pair[z][c] for pair in pairs]) for c in (0, 1))
+                         for z in (0, 1))
+    return rho, measurements, np.array([q for _, _, q in members]), pairs
+
+
+@PROPERTY
+@given(st.lists(stack_members, min_size=1, max_size=6))
+@example(ONE_MEMBER)
+@example(ONE_MEMBER * 2 + [(GHZ_EDGES[0], (None, (1.0, 0.0, 0.0)), 1.0)])
+def test_batched_update_is_the_per_member_loop(members):
+    rho, measurements, prob_z0, pairs = batched(members)
+    want = np.stack([luders_update(r, pair, float(q)) for r, pair, q in zip(rho, pairs, prob_z0)])
+    assert_same_bits(luders_update(rho, measurements, prob_z0), want)
+    # One measurement pair for the whole stack, with a bias per member: the same again.
+    shared = [luders_update(r, pairs[0], float(q)) for r, q in zip(rho, prob_z0)]
+    assert_same_bits(luders_update(rho, pairs[0], prob_z0), np.stack(shared))
+
+
+@PROPERTY
+@given(st.lists(bloch_or_identity, min_size=1, max_size=6))
+def test_stacked_observables_and_effects_are_the_per_member_calls(axes):
+    unit = np.array([(0.0, 0.0, 1.0) if n is None else n for n in axes])
+    assert_same_bits(bloch_obs(*unit.T), np.stack([bloch_obs(*n) for n in unit]))
+    observables = np.stack([_observable(n) for n in axes])
+    per_member = [_measurement(n) for n in axes]
+    for got, want in zip(projective_from_observable(observables), zip(*per_member), strict=True):
+        assert_same_bits(got, np.stack(want))
+    assert_same_bits(embed_third(observables), np.stack([embed_third(o) for o in observables]))

@@ -6,6 +6,7 @@ import pytest
 from seqbell.qstate import (
     PHI_MAX,
     check_effects,
+    check_p,
     check_phi,
     bloch_obs,
     ghz,
@@ -86,6 +87,51 @@ def test_batch_errors_name_the_first_bad_member():
     with pytest.raises(ValueError,
                        match=r"^state vector 2 of 4 not normalized: \|psi\|\^2 = 4\.0$"):
         to_density(psi)
+
+
+class TestStackGuards:
+    """One bad member rejects a whole stack, with the error it would raise alone."""
+
+    AXES = np.array([(1.0, 0.0, 0.0), (0.0, 0.6, 0.8), (0.0, 0.0, -1.0)])
+
+    @pytest.mark.parametrize("bad, shown", [((1.0, 1.0, 0.0), "2.0"),
+                                            ((math.nan, 0.0, 1.0), "nan")])
+    def test_bloch_vector_not_unit_length(self, bad, shown):
+        axes = self.AXES.copy()
+        axes[1] = bad
+        message = rf"^Bloch vector not unit length: \|n\|\^2 = {shown}$"
+        for stack in (axes, axes[1:2]):
+            with pytest.raises(ValueError, match=message):
+                bloch_obs(*stack.T)
+        with pytest.raises(ValueError, match=message):
+            bloch_obs(*bad)
+
+    @pytest.mark.parametrize("bad", [0.5 * pauli("x"), np.full((2, 2), np.nan)])
+    def test_observable_that_does_not_square_to_the_identity(self, bad):
+        stack = bloch_obs(*self.AXES.T)
+        stack[1] = bad
+        for o in (stack, bad):
+            with pytest.raises(ValueError, match="^observable does not square to the identity$"):
+                projective_from_observable(o)
+
+    def test_effects(self):
+        effect0, effect1 = projective_from_observable(bloch_obs(*self.AXES.T))
+        assert check_effects((effect0, effect1)) == (effect0, effect1)
+        effect0[2] = I2 / 2  # not a projector, though the pair still sums to I
+        effect1[2] = I2 / 2
+        with pytest.raises(ValueError, match="^effect0 is not an idempotent Hermitian effect$"):
+            check_effects((effect0, effect1))
+        effect0[2], effect1[2] = I2, I2
+        with pytest.raises(ValueError, match="^effects do not sum to the identity$"):
+            check_effects((effect0, effect1))
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.5])
+    def test_probability(self, bad):
+        p = np.array([0.0, 0.5, bad, 1.0, bad])
+        for probabilities in (p, p[2], bad):
+            with pytest.raises(ValueError, match=rf"^q={bad} outside \[0, 1\]$"):
+                check_p(probabilities, "q")
+        check_p(np.array([0.0, 0.5, 1.0]))
 
 
 def test_empty_angle_array_is_rejected_by_name():

@@ -166,6 +166,20 @@ def test_kron_memo_holds_the_48_kernel_products(monkeypatch):
     assert cmatrix.kron_memo() == stored
 
 
+def test_kron_memo_holds_the_48_kernel_products_after_a_registry_swap(monkeypatch):
+    # The operators are registered before any test runs (conftest.py), so a kernel call
+    # under a swapped registry cannot leave them registered in the swapped one alone.
+    with monkeypatch.context() as swapped:
+        swapped.setattr(cmatrix, "_CONSTANTS", {})
+        swapped.setattr(cmatrix, "_MEMO", {})
+        branch_arrays("standard", [PHI_MAX])
+        branch_arrays("genuine", [PHI_MAX], 0.5)
+    monkeypatch.setattr(cmatrix, "_MEMO", {})
+    branch_arrays("standard", [PHI_MAX])
+    branch_arrays("genuine", [PHI_MAX], 0.5)
+    assert len(cmatrix.kron_memo()) == 48
+
+
 def test_checks_do_not_load_the_cli():
     # cli imports verify; an import back would load cli.py a second time under -m.
     code = ("import sys\nimport seqbell.verify as verify\n"
@@ -200,6 +214,13 @@ def test_channel_properties_equal_the_per_member_loop():
         neg_eig = max(neg_eig, float(np.max(-np.linalg.eigvalsh(out))))
     measured = [m for _, m, _ in verify.check_channel_properties()]
     assert measured[:2] == [trace_dev, neg_eig]
+
+
+def test_channel_properties_update_members_in_blocks(traced_peak):
+    # Measured in MiB: 2.3 member by member, 3.9 in blocks of 100, 5.8 in blocks of
+    # 250, and 15.4 for one call on all 1,000 members.
+    _, peak = traced_peak(verify.check_channel_properties)
+    assert peak <= 6 << 20
 
 
 def test_mixture_closed_form_genuine_equals_the_per_bias_loop():

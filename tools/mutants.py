@@ -98,6 +98,13 @@ MUTANTS = (
            "np.add.accumulate(terms[..., ::-1, :, :], axis=-3)", verify=False),
     Mutant("signed-zero-start-dropped", "src/seqbell/bell.py",
            "[..., -1] + 0.0", "[..., -1]", verify=False),
+    # A stack of channels updates each state with the next member's effects. Test-only:
+    # a mis-paired channel is still a channel, so no check verify makes sees it, and a
+    # stack of one is unchanged; the batched-update test in tests/test_properties.py owns it.
+    Mutant("batched-channel-next-members-effects", "src/seqbell/luders.py",
+           "e8, q = np.array(e8).swapaxes(0, -3), np.array(q).T",
+           "e8, q = np.roll(np.array(e8).swapaxes(0, -3), -1, range(np.ndim(e8) - 3)), "
+           "np.array(q).T", verify=False),
     # channel-properties draws each member's angle after its strategy. Test-only:
     # other draws give other but equally passing values; the reference loop owns it.
     Mutant("channel-draw-order", "src/seqbell/verify.py",
@@ -108,7 +115,7 @@ MUTANTS = (
     # The one probability check lets p up to 1.5 through. Test-only: no valid run
     # hands any boundary a bad probability, so no value verify sees changes.
     Mutant("loose-probability-check", "src/seqbell/qstate.py",
-           "    if not 0.0 <= p <= 1.0:", "    if not 0.0 <= p <= 1.5:", verify=False),
+           "if not 0.0 <= member <= 1.0:", "if not 0.0 <= member <= 1.5:", verify=False),
     # An output path that is a symlink gets the link replaced by a regular file, and
     # the file it names is left as it was. Test-only: verify writes no file.
     Mutant("output-replaces-symlink", "src/seqbell/cli.py",
