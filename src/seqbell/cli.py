@@ -31,11 +31,10 @@ from .feasibility import (
     v_threshold_genuine,
 )
 from .lhvbound import (
-    hybrid_strategies,
-    local_strategies,
-    mermin_value_of,
+    mermin_classical_max,
+    outcome_tables,
     quantum_witness_max,
-    svetlichny_value_of,
+    svetlichny_classical_max,
 )
 from .qstate import PHI_MAX
 from .scenario import SCENARIOS, check_v
@@ -200,23 +199,22 @@ def cmd_windows(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    local = [mermin_value_of(s) for s in local_strategies()]
-    hybrid = [svetlichny_value_of(s) for s in hybrid_strategies()]
-    witness_m = quantum_witness_max("standard")
-    witness_s = quantum_witness_max("genuine")
-    print(f"mermin_classical_max = {float(max(local)):g} "
-          f"(enumerated over {len(local)} local strategies)")
-    print(f"svetlichny_classical_max = {float(max(hybrid)):g} "
-          f"(enumerated over {len(hybrid)} hybrid strategies)")
-    print(f"mermin_quantum_witness = {witness_m:g}")
-    print(f"svetlichny_quantum_witness ≈ {witness_s:.4f}")
+    print(f"mermin_classical_max = {mermin_classical_max():g} "
+          f"(enumerated over {len(outcome_tables('local'))} local strategies)")
+    print(f"svetlichny_classical_max = {svetlichny_classical_max():g} "
+          f"(enumerated over {len(outcome_tables('hybrid'))} hybrid strategies)")
+    print(f"mermin_quantum_witness = {quantum_witness_max('standard'):g}")
+    print(f"svetlichny_quantum_witness ≈ {quantum_witness_max('genuine'):.4f}")
     return 0
 
 
 def _positive_grid(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
     if n < 2:
-        raise argparse.ArgumentTypeError("grid size must be at least 2")
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {value!r}")
     return n
 
 

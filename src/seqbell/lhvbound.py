@@ -3,7 +3,8 @@
 Both local models are convex with deterministic extremal points, so the
 maximum of a linear expression over the model equals its maximum over the
 deterministic strategies. That standard fact turns each bound into a
-finite, exact integer enumeration:
+finite, exact integer enumeration, which ``outcome_tables`` makes once per
+process, on first use, into a read-only (n, 8, 3) int8 array per model:
 
 * fully local: every party answers each of its inputs with a fixed sign,
   2^6 = 64 strategies;
@@ -15,9 +16,11 @@ finite, exact integer enumeration:
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from typing import Iterator
+
+import numpy as np
 
 from .bell import MERMIN_TERMS, SVETLICHNY_TERMS
 from .scenario import pair_simulated
@@ -58,26 +61,37 @@ def hybrid_strategies() -> Iterator[Table]:
             yield tuple(table)
 
 
-def _value(table: Table, terms) -> int:
-    return sum(coeff * math.prod(table[4 * x + 2 * y + z]) for (x, y, z), coeff in terms)
+@functools.cache
+def outcome_tables(model: str) -> np.ndarray:
+    """The outcome tables of every ``"local"`` or ``"hybrid"`` strategy, in generator order."""
+    strategies = {"local": local_strategies, "hybrid": hybrid_strategies}[model]()
+    # Table by table: a list of all 3,072 tuples would add about 3 MB to the peak RSS.
+    tables = np.fromiter(strategies, dtype=np.dtype((np.int8, (8, 3))))
+    tables.flags.writeable = False
+    return tables
 
 
-def mermin_value_of(strategy) -> int:
+def _value(strategy, terms):
+    index, coeffs = zip(*[(4 * x + 2 * y + z, coeff) for (x, y, z), coeff in terms])
+    return np.prod(np.asarray(strategy)[..., index, :], axis=-1) @ coeffs
+
+
+def mermin_value_of(strategy):
     return _value(strategy, MERMIN_TERMS)
 
 
-def svetlichny_value_of(strategy) -> int:
+def svetlichny_value_of(strategy):
     return _value(strategy, SVETLICHNY_TERMS)
 
 
 def mermin_classical_max() -> float:
     """Largest Mermin value over all 64 deterministic fully-local strategies."""
-    return float(max(mermin_value_of(s) for s in local_strategies()))
+    return float(mermin_value_of(outcome_tables("local")).max())
 
 
 def svetlichny_classical_max() -> float:
     """Largest Svetlichny value over all 3072 deterministic hybrid strategies."""
-    return float(max(svetlichny_value_of(s) for s in hybrid_strategies()))
+    return float(svetlichny_value_of(outcome_tables("hybrid")).max())
 
 
 def quantum_witness_max(kind: str) -> float:
@@ -87,4 +101,4 @@ def quantum_witness_max(kind: str) -> float:
     bounds; not a proof of the quantum maximum. A genuine scenario gets the
     bias 0.5, on which its first value does not depend.
     """
-    return pair_simulated(kind, math.pi / 4, 1.0, 0.5 if kind == "genuine" else None)[0]
+    return pair_simulated(kind, np.pi / 4, 1.0, 0.5 if kind == "genuine" else None)[0]

@@ -1,5 +1,6 @@
-"""Hypothesis profiles of the suite, the kernel's operators built before any test, and
-a fixture that measures a call's traced memory peak.
+"""Hypothesis profiles of the suite, the kernel's operators built before any test, a
+fixture that measures a call's traced memory peak, and one that empties the cache of
+LHV outcome tables around a test.
 
 ``probe`` runs every phase but shrinking and the explanation that follows it.
 A mutant fails a property test whether or not its failing example is shrunk,
@@ -12,6 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import Phase, settings
 
+from seqbell.lhvbound import outcome_tables
 from seqbell.scenario import SCENARIOS, _operators
 
 settings.register_profile(
@@ -50,3 +52,15 @@ def _traced_peak(fn, *args):
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@pytest.fixture
+def fresh_outcome_tables():
+    """Empty the ``outcome_tables`` cache before and after the test.
+
+    A test that patches a strategy generator then builds its tables from the patched
+    one, and no later test reads them.
+    """
+    outcome_tables.cache_clear()
+    yield
+    outcome_tables.cache_clear()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -405,6 +406,16 @@ class TestScanGenuine:
                      "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["1e3", "x", "1"])
+    def test_bad_grid_size_message_names_no_private_function(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scan-standard", "--grid-phi", value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --grid-phi: expected an integer of at least 2, got '{value}'" in err
+        assert not re.search(r"(^|\W)_\w", err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_grid_above_cap(self, tmp_path, capsys):
         assert 2001 * 2000 > cli.MAX_SCAN_CELLS
         with pytest.raises(SystemExit) as exc:
@@ -447,6 +458,22 @@ class TestWindows:
         assert "v = 0.7071: no window" in out and "p window" not in out
 
 
+def count_strategy_steps(monkeypatch) -> list[str]:
+    """Wrap both strategy generators of ``lhvbound``; the list gets one name per step."""
+    seen = []
+
+    def counting(name, generator):
+        def wrapper():
+            for strategy in generator():
+                seen.append(name)
+                yield strategy
+        return wrapper
+
+    for name in ("local_strategies", "hybrid_strategies"):
+        monkeypatch.setattr(lhvbound, name, counting(name, getattr(lhvbound, name)))
+    return seen
+
+
 class TestBounds:
     def test_output(self, capsys):
         assert run_cli(["bounds"]) == 0
@@ -458,23 +485,36 @@ class TestBounds:
         assert "64" in out
         assert "3072" in out
 
-    def test_enumerates_each_strategy_once(self, monkeypatch, capsys):
-        seen = []
-
-        def counting(generator):
-            def wrapper():
-                for strategy in generator():
-                    seen.append(strategy)
-                    yield strategy
-            return wrapper
-
-        for name in ("local_strategies", "hybrid_strategies"):
-            wrapped = counting(getattr(lhvbound, name))
-            monkeypatch.setattr(lhvbound, name, wrapped)
-            monkeypatch.setattr(cli, name, wrapped)
+    def test_enumerates_each_strategy_once(self, monkeypatch, capsys, fresh_outcome_tables):
+        seen = count_strategy_steps(monkeypatch)
         assert run_cli(["bounds"]) == 0
         assert len(seen) == 64 + 3072
         assert "(enumerated over 64 local strategies)" in capsys.readouterr().out
+
+    def test_checks_then_bounds_enumerate_each_strategy_once(self, monkeypatch, capsys,
+                                                             fresh_outcome_tables):
+        # One process's classical-bounds and quantum-witnesses checks, then bounds,
+        # all read the same tables.
+        seen = count_strategy_steps(monkeypatch)
+        checks = dict(verify.CHECKS)
+        checks["classical-bounds"]()
+        checks["quantum-witnesses"]()
+        assert run_cli(["bounds"]) == 0
+        assert seen.count("local_strategies") == 64
+        assert seen.count("hybrid_strategies") == 3072
+
+    def test_import_enumerates_no_strategy(self):
+        # Both generators raise if called while the modules that cli loads are imported.
+        code = ("import seqbell.lhvbound as lhvbound\n"
+                "def refuse():\n"
+                "    raise AssertionError('a strategy was enumerated at import')\n"
+                "lhvbound.local_strategies = lhvbound.hybrid_strategies = refuse\n"
+                "import seqbell.cli\n"
+                "print(lhvbound.outcome_tables.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestVerify:

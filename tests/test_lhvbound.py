@@ -1,18 +1,21 @@
 import itertools
 import math
 
+import numpy as np
+import pytest
+
+from seqbell.bell import MERMIN_TERMS, SVETLICHNY_TERMS
 from seqbell.lhvbound import (
     BIPARTITIONS,
     hybrid_strategies,
     local_strategies,
     mermin_classical_max,
     mermin_value_of,
+    outcome_tables,
     quantum_witness_max,
     svetlichny_classical_max,
     svetlichny_value_of,
 )
-
-import pytest
 
 INPUTS = list(itertools.product((0, 1), repeat=3))
 
@@ -83,3 +86,35 @@ def test_quantum_witnesses():
     for name in ("mermin", "svetlichny", "chsh"):  # inequality names are not scenario kinds
         with pytest.raises(ValueError):
             quantum_witness_max(name)
+
+
+def per_table_value(table, terms):
+    """Reference: the per-table formula that the array expression replaced."""
+    return sum(coeff * math.prod(table[4 * x + 2 * y + z]) for (x, y, z), coeff in terms)
+
+
+MODELS = pytest.mark.parametrize("model, generator", [("local", local_strategies),
+                                                       ("hybrid", hybrid_strategies)],
+                                  ids=["local", "hybrid"])
+
+
+@MODELS
+@pytest.mark.parametrize("value_of, terms", [(mermin_value_of, MERMIN_TERMS),
+                                             (svetlichny_value_of, SVETLICHNY_TERMS)],
+                         ids=["mermin", "svetlichny"])
+def test_stacked_values_equal_the_per_table_formula(model, generator, value_of, terms):
+    expected = [per_table_value(table, terms) for table in generator()]
+    assert value_of(outcome_tables(model)).tolist() == expected
+    assert [value_of(table) for table in generator()] == expected
+
+
+@MODELS
+def test_outcome_tables_are_the_generated_tables_cached_read_only(model, generator):
+    tables = outcome_tables(model)
+    assert tables is outcome_tables(model)
+    assert tables.dtype == np.int8
+    assert tables.tolist() == [list(map(list, table)) for table in generator()]
+    with pytest.raises(ValueError):
+        tables[0, 0, 0] = -tables[0, 0, 0]
+    with pytest.raises(KeyError):
+        outcome_tables("chsh")

@@ -16,6 +16,7 @@ import pytest
 
 import seqbell.cmatrix as cmatrix
 import seqbell.feasibility as feasibility
+import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
 from seqbell.luders import luders_update
 from seqbell.qstate import (
@@ -131,12 +132,13 @@ def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
     assert "CSV cells not read back as written 3 (tol 0)" in result.detail
 
 
-def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch):
+def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch,
+                                                                   fresh_outcome_tables):
     def one_table():
         # AB|C with Charlie answering Alice's input x.
         yield tuple((1, 1, 1 - 2 * x) for x, _, _ in itertools.product((0, 1), repeat=3))
 
-    monkeypatch.setattr(verify, "hybrid_strategies", one_table)
+    monkeypatch.setattr(lhvbound, "hybrid_strategies", one_table)
     result = run_one(monkeypatch, "classical-bounds")
     assert not result.passed
     assert "hybrid tables whose lone party reads a paired input 1 (tol 0)" in result.detail

@@ -71,9 +71,13 @@ MUTANTS = (
     # each coefficient weighs the correlator stacked before its own,
     Mutant("shifted-correlator-coefficients", "src/seqbell/bell.py",
            "values * coeffs", "np.roll(values, 1, axis=-1) * coeffs", verify=True),
-    # and the lone party of a hybrid LHV strategy reads a paired party's input.
+    # the lone party of a hybrid LHV strategy reads a paired party's input,
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
+    # and the cached hybrid outcome tables lose their last strategy.
+    Mutant("hybrid-table-loses-a-row", "src/seqbell/lhvbound.py",
+           '"hybrid": hybrid_strategies}', '"hybrid": lambda: list(hybrid_strategies())[:-1]}',
+           verify=True),
     # The kron memo keys a product on its left operand alone, so two products
     # with the same left operand both return the first one made.
     Mutant("kron-memo-drops-second-operand", "src/seqbell/cmatrix.py",
