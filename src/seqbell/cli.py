@@ -22,8 +22,8 @@ import numpy as np
 from .feasibility import (
     FeasibilityGrid,
     grid_to_csv,
-    p_window,
     p_window_genuine,
+    p_window_standard,
     phi_threshold_genuine,
     phi_threshold_standard,
     scan,
@@ -118,13 +118,13 @@ def grid_to_svg(grid: FeasibilityGrid) -> str:
             )
 
     # Closed-form window boundary curves.
-    for pick in (lambda w: w.lo, lambda w: w.hi):
+    for end in (0, 1):  # lo, then hi
         points = []
-        for phi in np.linspace(phi_max / 400, phi_max, 400):
-            window = p_window(grid.kind, float(phi), grid.v)
-            if window.empty:
+        for phi in np.linspace(phi_max / 400, phi_max, 400).tolist():
+            window = p_window_standard(phi) if grid.v is None else p_window_genuine(phi, grid.v)
+            if not window[0] < window[1]:
                 continue
-            points.append(f"{sx(float(phi)):.2f},{sy(pick(window)):.2f}")
+            points.append(f"{sx(phi):.2f},{sy(window[end]):.2f}")
         if points:
             parts.append(
                 f'<polyline points="{" ".join(points)}" fill="none" '
@@ -189,12 +189,12 @@ def cmd_windows(args) -> int:
     print(f"phi threshold, standard scenario: {phi_threshold_standard():.4f}")
     print(f"v threshold, genuine scenario:    {v_threshold_genuine():.4f}")
     for v in v_list:
-        window = p_window_genuine(PHI_MAX, v)  # the widest: sin 2phi is largest at pi/4
-        if window.empty:
+        lo, hi = p_window_genuine(PHI_MAX, v)  # the widest: sin 2phi is largest at pi/4
+        if not lo < hi:
             print(f"v = {v:.4f}: no window (a window needs v > {v_threshold_genuine():.4f})")
             continue
         print(f"v = {v:.4f}: phi threshold {phi_threshold_genuine(v):.4f}, "
-              f"p window at phi = pi/4: ({window.lo:.4f}, {window.hi:.4f})")
+              f"p window at phi = pi/4: ({lo:.4f}, {hi:.4f})")
     return 0
 
 

@@ -6,8 +6,9 @@ mixture values:
   standard:  1/sin(2phi) - 1       < p < 3 - 2/sin(2phi)
   genuine:   sqrt2/sin(2phi) - 1   < p < 1 - (sqrt2/sin(2phi) - 1)/v
 
-both clamped to [0, 1]. Solving "window nonempty" for the state angle
-gives the thresholds
+each ``SCENARIOS[kind].window``, a ``(lo, hi)`` tuple, empty when ``not lo < hi``.
+sin(2phi) <= 1 keeps both ends in [0, 1] unclamped (the genuine lo is positive, so
+its hi is below 1). Solving "window nonempty" for the state angle gives the thresholds
 
   standard:  sin(2phi) > 3/4
   genuine:   sin(2phi) > sqrt2 (1+v) / (1+2v),  possible only for v > 1/sqrt2.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PHI_MAX, check_p, check_phi
+from .qstate import _SIN, PHI_MAX, check_p, check_phi
 from .scenario import (
     SCENARIOS,
     SQRT2,
@@ -35,22 +36,6 @@ from .scenario import (
 )
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Open interval (lo, hi), possibly empty after clamping to [0, 1]."""
-
-    lo: float
-    hi: float
-
-    @property
-    def empty(self) -> bool:
-        return not self.lo < self.hi
-
-    @staticmethod
-    def clamped(lo: float, hi: float) -> "Interval":
-        return Interval(lo=max(lo, 0.0), hi=min(hi, 1.0))
-
-
 def _window_sine(phi: float) -> float:
     """sin(2 phi) for a window angle; no window is defined at phi = 0."""
     check_phi(phi)
@@ -59,10 +44,9 @@ def _window_sine(phi: float) -> float:
     return math.sin(2 * phi)
 
 
-def p_window_standard(phi: float) -> Interval:
-    """Mixing probabilities giving M1 > 2 and M2 > 2 simultaneously."""
-    s = _window_sine(phi)
-    return Interval.clamped(1 / s - 1, 3 - 2 / s)
+def p_window_standard(phi: float) -> tuple[float, float]:
+    """Mixing probabilities (lo, hi) giving M1 > 2 and M2 > 2 simultaneously."""
+    return SCENARIOS["standard"].window(_window_sine(phi), None)
 
 
 def phi_threshold_standard() -> float:
@@ -70,23 +54,11 @@ def phi_threshold_standard() -> float:
     return 0.5 * math.asin(3 / 4)
 
 
-def p_window_genuine(phi: float, v: float) -> Interval:
-    """Mixing probabilities giving S1 > 4 and S2 > 4 simultaneously.
-
-    The upper end divides by v alone, so a subnormal v overflows it to -inf, not to NaN.
-    """
+def p_window_genuine(phi: float, v: float) -> tuple[float, float]:
+    """Mixing probabilities (lo, hi) giving S1 > 4 and S2 > 4 simultaneously."""
     s = _window_sine(phi)
     check_v(v)
-    lo = SQRT2 / s - 1
-    return Interval.clamped(lo, 1 - lo / v)
-
-
-def p_window(kind: str, phi: float, v: float | None = None) -> Interval:
-    """The p-window of the named scenario."""
-    check_kind(kind, v)
-    if kind == "standard":
-        return p_window_standard(phi)
-    return p_window_genuine(phi, v)
+    return SCENARIOS["genuine"].window(s, v)
 
 
 def v_threshold_genuine() -> float:
@@ -188,14 +160,14 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
 
 
 def window_membership(grid: FeasibilityGrid) -> np.ndarray:
-    """Closed-form window membership for every grid cell."""
-    inside = np.zeros(grid.value1.shape, dtype=bool)
-    for i, ph in enumerate(grid.phi):
-        if ph == 0.0:
-            continue
-        window = p_window(grid.kind, ph, grid.v)
-        inside[i, :] = (window.lo < grid.p) & (grid.p < window.hi)
-    return inside
+    """Closed-form window membership for every grid cell, each row's ends bitwise ``p_window_*``.
+
+    libm's sin per angle, as ``ghz`` takes it; phi = 0 gives lo = +inf, outside every window.
+    """
+    s = _SIN(2 * grid.phi).astype(float)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi = SCENARIOS[grid.kind].window(s, grid.v)
+    return (lo < grid.p) & (grid.p < hi)
 
 
 def _neighborhood_constant(mask: np.ndarray) -> np.ndarray:

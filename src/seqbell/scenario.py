@@ -26,7 +26,9 @@ The closed forms for the mixed values are
 
 and the simulated path must reproduce them to ~1e-10; that agreement is
 the central correctness check of the package. The simulation never
-evaluates them. One kernel simulates a 1-D array of angles (``branch_arrays``),
+evaluates them. Beside each closed form sits the p-window solved from it,
+the open range of p in which both values exceed the classical bound.
+One kernel simulates a 1-D array of angles (``branch_arrays``),
 bitwise as one angle at a time; each per-angle function is its N = 1 call. Its
 operators are built and checked once per process, on first use, and registered with
 ``cmatrix.constant``, so ``cmatrix.kron`` makes each of their Kronecker products once.
@@ -55,7 +57,6 @@ from .luders import luders_update
 from .qstate import (
     bloch_obs,
     check_p,
-    check_phi,
     ghz,
     identity_measurement,
     pauli,
@@ -85,6 +86,7 @@ class Scenario:
     value: Callable[[object, Settings], float]  # (rho, settings) -> value
     bound: float  # classical bound of the inequality
     closed: Callable  # (sin 2phi, p, v) -> (value1, value2), p may be an array
+    window: Callable  # (sin 2phi, v) -> (lo, hi), sin 2phi may be an array
 
 
 SCENARIOS = {
@@ -95,6 +97,7 @@ SCENARIOS = {
         value=lambda rho, settings: mermin_value(rho, settings),
         bound=MERMIN_CLASSICAL_BOUND,
         closed=lambda s, p, v: ((2 * p + 2) * s, (3 - p) * s),
+        window=lambda s, v: (1 / s - 1, 3 - 2 / s),
     ),
     "genuine": Scenario(
         alice_bob=lambda: ((pauli("x"), pauli("y")), (bloch_obs(1 / SQRT2, -1 / SQRT2, 0.0),
@@ -104,6 +107,7 @@ SCENARIOS = {
         value=lambda rho, settings: svetlichny_value(rho, settings),
         bound=SVETLICHNY_CLASSICAL_BOUND,
         closed=lambda s, p, v: (2 * SQRT2 * (p + 1) * s, 2 * SQRT2 * (1 + v * (1 - p)) * s),
+        window=lambda s, v: (SQRT2 / s - 1, 1 - (SQRT2 / s - 1) / v),
     ),
 }
 
@@ -207,10 +211,3 @@ def pair_simulated(kind: str, phi: float, p: float, v: float | None = None) -> t
     check_p(p)
     return mix(branch_values(kind, phi, v), p)
 
-
-def pair_closed(kind: str, phi: float, p: float, v: float | None = None) -> tuple[float, float]:
-    """(value1, value2) from the scenario's closed forms, without simulation."""
-    check_kind(kind, v)
-    check_phi(phi)
-    check_p(p)
-    return SCENARIOS[kind].closed(math.sin(2 * phi), p, v)

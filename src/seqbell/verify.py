@@ -27,6 +27,7 @@ from .cmatrix import EYE2, kron, kron_memo
 from .feasibility import (
     grid_to_csv,
     p_window_genuine,
+    p_window_standard,
     phi_threshold_genuine,
     phi_threshold_standard,
     scan,
@@ -58,7 +59,6 @@ from .scenario import (
     SQRT2,
     branch_arrays,
     mix,
-    pair_closed,
     pair_simulated,
 )
 
@@ -278,18 +278,21 @@ def check_thresholds() -> list[Measurement]:
 
 
 def check_window_endpoints() -> list[Measurement]:
-    w8 = p_window_genuine(PHI_MAX, 0.8)
-    w9 = p_window_genuine(PHI_MAX, 0.9)
+    # At maximal entanglement every p gives a standard double violation: the window is (0, 1).
+    std_lo, std_hi = p_window_standard(PHI_MAX)
+    lo8, hi8 = p_window_genuine(PHI_MAX, 0.8)
+    lo9, hi9 = p_window_genuine(PHI_MAX, 0.9)
     exact = _worst(
-        abs(w8.lo - (SQRT2 - 1)), abs(w8.hi - (9 - 5 * SQRT2) / 4),
-        abs(w9.lo - (SQRT2 - 1)), abs(w9.hi - (19 - 10 * SQRT2) / 9),
+        abs(std_lo - 0.0), abs(std_hi - 1.0),
+        abs(lo8 - (SQRT2 - 1)), abs(hi8 - (9 - 5 * SQRT2) / 4),
+        abs(lo9 - (SQRT2 - 1)), abs(hi9 - (19 - 10 * SQRT2) / 9),
     )
-    decimals = _worst(abs(w8.lo - 0.4143), abs(w8.hi - 0.4822),
-                      abs(w9.lo - 0.4143), abs(w9.hi - 0.5397))
+    decimals = _worst(abs(lo8 - 0.4143), abs(hi8 - 0.4822),
+                      abs(lo9 - 0.4143), abs(hi9 - 0.5397))
     return [
         ("closed-form deviation", exact, 1e-12),
         ("4-decimal deviation", decimals, 1e-4),
-        ("empty windows", w8.empty + w9.empty, 0),
+        ("empty windows", (not std_lo < std_hi) + (not lo8 < hi8) + (not lo9 < hi9), 0),
     ]
 
 
@@ -335,13 +338,13 @@ def check_genuine_scan_consistency() -> list[Measurement]:
 
 def check_window_monotonicity() -> list[Measurement]:
     v_grid = np.linspace(0.05, 0.95, 19)
-    s2 = [pair_closed("genuine", 0.6, 0.4, float(v))[1] for v in v_grid]
+    _, s2 = SCENARIOS["genuine"].closed(math.sin(2 * 0.6), 0.4, v_grid)
+    windows = [p_window_genuine(PHI_MAX, float(v)) for v in v_grid]
     return [
         ("second-round value steps not increasing in bias",
          sum(not b > a for a, b in zip(s2, s2[1:])), 0),
         ("biases where window nonempty != (v > 1/sqrt2)",
-         sum((not p_window_genuine(PHI_MAX, float(v)).empty) != (v > v_threshold_genuine())
-             for v in v_grid), 0),
+         sum((lo < hi) != (v > v_threshold_genuine()) for (lo, hi), v in zip(windows, v_grid)), 0),
     ]
 
 

@@ -133,12 +133,12 @@ def test_criterion_5_thresholds():
 
 
 def test_criterion_6_window_endpoints():
-    w8 = p_window_genuine(PHI_MAX, 0.8)
-    w9 = p_window_genuine(PHI_MAX, 0.9)
-    exact_dev = np.max([abs(w8.lo - (SQRT2 - 1)), abs(w8.hi - (9 - 5 * SQRT2) / 4),
-                        abs(w9.lo - (SQRT2 - 1)), abs(w9.hi - (19 - 10 * SQRT2) / 9)])
-    decimal_dev = np.max([abs(w8.lo - 0.4143), abs(w8.hi - 0.4822),
-                          abs(w9.lo - 0.4143), abs(w9.hi - 0.5397)])
+    lo8, hi8 = p_window_genuine(PHI_MAX, 0.8)
+    lo9, hi9 = p_window_genuine(PHI_MAX, 0.9)
+    exact_dev = np.max([abs(lo8 - (SQRT2 - 1)), abs(hi8 - (9 - 5 * SQRT2) / 4),
+                        abs(lo9 - (SQRT2 - 1)), abs(hi9 - (19 - 10 * SQRT2) / 9)])
+    decimal_dev = np.max([abs(lo8 - 0.4143), abs(hi8 - 0.4822),
+                          abs(lo9 - 0.4143), abs(hi9 - 0.5397)])
     ok = exact_dev <= 1e-12 and decimal_dev <= 1e-4
     _criterion(6, ok,
                f"window endpoints at phi = pi/4: closed-form deviation "

@@ -452,7 +452,8 @@ class TestWindows:
         # One ulp above 1/sqrt2 the window at phi = pi/4 rounds to empty: lo > hi.
         v = math.nextafter(1 / math.sqrt(2), 1.0)
         assert v > feasibility.v_threshold_genuine()
-        assert feasibility.p_window_genuine(PHI_MAX, v).empty
+        lo, hi = feasibility.p_window_genuine(PHI_MAX, v)
+        assert not lo < hi
         run_cli(["windows", "--v", repr(v)])
         out = capsys.readouterr().out
         assert "v = 0.7071: no window" in out and "p window" not in out

@@ -5,7 +5,6 @@ import pytest
 
 from seqbell.feasibility import (
     FeasibilityGrid,
-    Interval,
     p_window_genuine,
     p_window_standard,
     phi_threshold_genuine,
@@ -25,16 +24,21 @@ def phi_grid(n):
     return np.arange(1, n + 1) / n * PI4
 
 
+def empty(window):
+    lo, hi = window
+    return not lo < hi
+
+
 class TestStandardWindow:
     def test_maximally_entangled_gives_full_window(self):
-        w = p_window_standard(PI4)
-        assert not w.empty
-        assert w.lo == pytest.approx(0.0, abs=1e-12)
-        assert w.hi == pytest.approx(1.0, abs=1e-12)
+        lo, hi = p_window_standard(PI4)
+        assert lo < hi
+        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_below_threshold(self):
-        assert p_window_standard(0.424).empty
-        assert p_window_standard(0.3).empty
+        assert empty(p_window_standard(0.424))
+        assert empty(p_window_standard(0.3))
 
     def test_rejects_zero_angle(self):
         with pytest.raises(ValueError):
@@ -44,43 +48,43 @@ class TestStandardWindow:
         t = phi_threshold_standard()
         assert t == pytest.approx(0.4240, abs=5e-4)
         assert math.sin(2 * t) == pytest.approx(0.75, abs=1e-12)
-        assert not p_window_standard(t + 1e-6).empty
-        assert p_window_standard(t - 1e-6).empty
+        assert not empty(p_window_standard(t + 1e-6))
+        assert empty(p_window_standard(t - 1e-6))
 
 
 class TestGenuineWindow:
     def test_endpoints_at_v08(self):
-        w = p_window_genuine(PI4, 0.8)
-        assert w.lo == pytest.approx(SQRT2 - 1, abs=1e-12)
-        assert w.hi == pytest.approx((9 - 5 * SQRT2) / 4, abs=1e-12)
-        assert w.lo == pytest.approx(0.4143, abs=1e-4)
-        assert w.hi == pytest.approx(0.4822, abs=1e-4)
+        lo, hi = p_window_genuine(PI4, 0.8)
+        assert lo == pytest.approx(SQRT2 - 1, abs=1e-12)
+        assert hi == pytest.approx((9 - 5 * SQRT2) / 4, abs=1e-12)
+        assert lo == pytest.approx(0.4143, abs=1e-4)
+        assert hi == pytest.approx(0.4822, abs=1e-4)
 
     def test_endpoints_at_v09(self):
-        w = p_window_genuine(PI4, 0.9)
-        assert w.lo == pytest.approx(SQRT2 - 1, abs=1e-12)
-        assert w.hi == pytest.approx((19 - 10 * SQRT2) / 9, abs=1e-12)
-        assert w.hi == pytest.approx(0.5397, abs=1e-4)
+        lo, hi = p_window_genuine(PI4, 0.9)
+        assert lo == pytest.approx(SQRT2 - 1, abs=1e-12)
+        assert hi == pytest.approx((19 - 10 * SQRT2) / 9, abs=1e-12)
+        assert hi == pytest.approx(0.5397, abs=1e-4)
 
     def test_unbiased_window_is_empty(self):
-        assert p_window_genuine(PI4, 0.5).empty
+        assert empty(p_window_genuine(PI4, 0.5))
 
     def test_nonempty_iff_v_above_threshold(self):
         t = v_threshold_genuine()
         assert t == pytest.approx(1 / SQRT2, abs=0)
         assert t == pytest.approx(0.7071, abs=5e-5)
-        assert p_window_genuine(PI4, t - 1e-4).empty
-        assert not p_window_genuine(PI4, t + 1e-3).empty
+        assert empty(p_window_genuine(PI4, t - 1e-4))
+        assert not empty(p_window_genuine(PI4, t + 1e-3))
         for v in np.linspace(0.05, 0.95, 19):
-            assert p_window_genuine(PI4, float(v)).empty == (v <= t)
+            assert empty(p_window_genuine(PI4, float(v))) == (v <= t)
 
     @pytest.mark.parametrize("v", [5e-324, 1e-310, 1e-300])
     def test_tiny_bias_gives_an_empty_window_without_nan(self, v):
         # v * sin(2phi) underflows to 0 and 1/v overflows; the upper end divides by v alone.
         for phi in (1e-300, 1e-3, 0.3, PI4):
-            w = p_window_genuine(phi, v)
-            assert w.empty
-            assert not math.isnan(w.lo) and not math.isnan(w.hi)
+            lo, hi = p_window_genuine(phi, v)
+            assert not lo < hi
+            assert not math.isnan(lo) and not math.isnan(hi)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -117,19 +121,23 @@ class TestPhiThresholdGenuine:
                 phi_threshold_genuine(v)
 
 
-class TestInterval:
-    def test_clamping(self):
-        w = Interval.clamped(-0.5, 0.5)
-        assert (w.lo, w.hi, w.empty) == (0.0, 0.5, False)
-        assert Interval.clamped(0.8, 2.0).hi == 1.0
-        assert Interval.clamped(0.9, 0.2).empty
-
-
 def hand_grid(flagged=None):
     """A 20x20 standard grid with the given flags and no values."""
     phi, p = phi_grid(20), np.linspace(0.0, 1.0, 20)
     blank = np.zeros((phi.size, p.size))
     return FeasibilityGrid("standard", phi, p, None, blank, blank, flagged)
+
+
+def reference_membership(grid):
+    """The per-angle loop that ``window_membership`` replaced, kept as the reference."""
+    inside = np.zeros(grid.value1.shape, dtype=bool)
+    for i, phi in enumerate(grid.phi):
+        if phi == 0.0:
+            continue
+        lo, hi = (p_window_standard(float(phi)) if grid.v is None
+                  else p_window_genuine(float(phi), grid.v))
+        inside[i, :] = (lo < grid.p) & (grid.p < hi)
+    return inside
 
 
 class TestWindowDisagreements:
@@ -232,12 +240,13 @@ class TestScan:
         assert scan_window_disagreements(grid)[0] == 0
 
     def test_membership_matches_windows(self):
-        grid = scan("standard", phi_grid(15), np.linspace(0.0, 1.0, 11))
-        inside = window_membership(grid)
-        for i, phi in enumerate(grid.phi):
-            w = p_window_standard(float(phi))
-            for j, p in enumerate(grid.p):
-                assert inside[i, j] == (not w.empty and w.lo < p < w.hi)
+        p = np.linspace(0.0, 1.0, 11)
+        # A subnormal bias overflows the genuine upper end to -inf; one ulp above
+        # 1/sqrt2 the window at pi/4 rounds empty.
+        for grid in (scan("standard", phi_grid(15), p),
+                     *(scan("genuine", phi_grid(15), p, v=v)
+                       for v in (0.9, 5e-324, math.nextafter(1 / SQRT2, 1.0)))):
+            assert np.array_equal(window_membership(grid), reference_membership(grid))
 
     def test_zero_angle_row_is_outside_every_window(self):
         p = np.linspace(0.0, 1.0, 7)
@@ -246,6 +255,9 @@ class TestScan:
             inside = window_membership(grid)
             assert not inside[0].any()
             assert inside[2].any()
+            assert np.array_equal(inside, reference_membership(grid))
+        for grid in (scan("standard", [0.0], p), scan("genuine", [0.0], p, v=0.9)):
+            assert not window_membership(grid).any()
 
     def test_validation(self):
         good_phi = phi_grid(4)

@@ -1,6 +1,6 @@
 """Property tests: invariants of the channel, the correlators, the batch kernel
-and the CSV number format, and the kernel's two stacked reductions against the
-loops they replaced.
+and the CSV number format, the kernel's two stacked reductions against the
+loops they replaced, and the p-windows against the clamped formulas they replaced.
 
 Hypothesis draws pure three-qubit states, one measurement per input (a
 projective measurement along a unit Bloch vector, or the identity),
@@ -24,7 +24,7 @@ from seqbell.bell import (
     mermin_value,
     svetlichny_value,
 )
-from seqbell.feasibility import _fmt
+from seqbell.feasibility import _fmt, p_window_genuine, p_window_standard
 from seqbell.luders import embed_third, luders_update
 from seqbell.qstate import (
     PHI_MAX,
@@ -134,6 +134,35 @@ def test_bad_angle_anywhere_in_a_batch_is_rejected(phi, index, bad):
         check_phi(phi)
     with pytest.raises(ValueError, match="outside"):
         branch_arrays("standard", phi)
+
+
+def reference_windows(phi, v):
+    """The standard and genuine windows as computed before, each end clamped to [0, 1]."""
+    s = math.sin(2 * phi)
+    lo = math.sqrt(2.0) / s - 1
+    return ((max(1 / s - 1, 0.0), min(3 - 2 / s, 1.0)),
+            (max(lo, 0.0), min(1 - lo / v, 1.0)))
+
+
+# Subnormal angles and biases, 1/sqrt2, the floats on either side of it and the first
+# bias with a window at pi/4, drawn explicitly.
+@PROPERTY
+@given(st.floats(0.0, PHI_MAX, exclude_min=True), biases)
+@example(5e-324, 5e-324)
+@example(1e-310, 1e-310)
+@example(PHI_MAX, 5e-324)
+@example(5e-324, 1 / math.sqrt(2))
+@example(PHI_MAX, 1 / math.sqrt(2))
+@example(PHI_MAX, math.nextafter(1 / math.sqrt(2), 0.0))
+@example(PHI_MAX, math.nextafter(1 / math.sqrt(2), 1.0))
+@example(PHI_MAX, 0.7071067811865479)
+def test_windows_are_the_clamped_formulas_within_the_unit_interval(phi, v):
+    # The ends lie in [0, 1] unclamped, so dropping the clamp moves no bit.
+    windows = (p_window_standard(phi), p_window_genuine(phi, v))
+    assert [_hex(w) for w in windows] == [_hex(w) for w in reference_windows(phi, v)]
+    for lo, hi in windows:
+        assert not math.isnan(lo) and not math.isnan(hi)
+        assert 0.0 <= lo and hi <= 1.0
 
 
 # Any double, with the signed zeros, the infinities and NaN drawn explicitly.

@@ -61,6 +61,14 @@ MUTANTS = (
            verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
            "values[0::3] = row1.tolist()", "values[0::3] = row2.tolist()", verify=True),
+    # A scenario's p-window returns its ends the wrong way round, so it reads empty
+    # wherever it was open.
+    Mutant("swapped-standard-window-ends", "src/seqbell/scenario.py",
+           "window=lambda s, v: (1 / s - 1, 3 - 2 / s),",
+           "window=lambda s, v: (3 - 2 / s, 1 / s - 1),", verify=True),
+    Mutant("swapped-genuine-window-ends", "src/seqbell/scenario.py",
+           "window=lambda s, v: (SQRT2 / s - 1, 1 - (SQRT2 / s - 1) / v),",
+           "window=lambda s, v: (1 - (SQRT2 / s - 1) / v, SQRT2 / s - 1),", verify=True),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
            "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)",
