@@ -132,9 +132,8 @@ def scan_grid(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
 def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> FeasibilityGrid:
     """Simulate every (phi, p) cell and flag the double violations.
 
-    Cell values are bitwise identical to the per-point pair functions: the
-    per-phi branch values are computed once and mixed by the same
-    ``scenario.mix``.
+    Each row is bitwise ``mix(branch_arrays(kind, [phi], v), p)`` at its angle: the
+    per-phi branch values are computed once and mixed by the same ``scenario.mix``.
     """
     phi = np.asarray(phi_samples, dtype=float)
     p = np.asarray(p_samples, dtype=float)

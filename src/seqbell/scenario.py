@@ -28,10 +28,11 @@ and the simulated path must reproduce them to ~1e-10; that agreement is
 the central correctness check of the package. The simulation never
 evaluates them. Beside each closed form sits the p-window solved from it,
 the open range of p in which both values exceed the classical bound.
-One kernel simulates a 1-D array of angles (``branch_arrays``),
-bitwise as one angle at a time; each per-angle function is its N = 1 call. Its
-operators are built and checked once per process, on first use, and registered with
-``cmatrix.constant``, so ``cmatrix.kron`` makes each of their Kronecker products once.
+One kernel simulates a 1-D array of angles (``branch_arrays``), bitwise as one angle at
+a time, and ``mix`` takes the p-mixture of its branches. The per-angle functions are its
+N = 1 calls, for the benchmark-pinned scan loop alone. Its operators are built and
+checked once per process, on first use, and registered with ``cmatrix.constant``, so
+``cmatrix.kron`` makes each of their Kronecker products once.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
 biases and then computes the three other branches once; each row is bitwise one bias alone.
 """
@@ -56,7 +57,6 @@ from .cmatrix import EYE2, constant
 from .luders import luders_update
 from .qstate import (
     bloch_obs,
-    check_p,
     ghz,
     identity_measurement,
     pauli,
@@ -178,17 +178,21 @@ def branch_arrays(kind: str, phi, v=None):
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:
-    """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) for one phi."""
+    """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) at one phi; see ``branch_values``."""
     return tuple(float(x[0]) for x in branch_arrays("standard", [phi]))
 
 
 def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, float]:
-    """Simulated Svetlichny values (S1^s1, S2^s1, S1^s2, S2^s2) for one (phi, v)."""
+    """Simulated Svetlichny (S1^s1, S2^s1, S1^s2, S2^s2) at one (phi, v); see ``branch_values``."""
     return tuple(float(x[0]) for x in branch_arrays("genuine", [phi], v))
 
 
 def branch_values(kind: str, phi: float, v: float | None = None):
-    """Simulated (first1, second1, first2, second2) of the named scenario at one angle."""
+    """Simulated (first1, second1, first2, second2) of the named scenario at one angle.
+
+    It and the two per-kind functions are called only by the loop in ``feasibility.scan``,
+    which the benchmark pins; ROADMAP item 1 unpins that loop, and all three go with it.
+    """
     check_kind(kind, v)
     if kind == "standard":
         return standard_branch_values(phi)
@@ -198,16 +202,8 @@ def branch_values(kind: str, phi: float, v: float | None = None):
 def mix(branches, p) -> tuple:
     """(value1, value2) of the strategy mixture: strategy 1 with probability p.
 
-    ``branches`` is (first1, second1, first2, second2) as the branch
-    functions return it; p may be a float or an array. Scans and the pair
-    functions both mix here, so their values agree bitwise.
+    ``branches`` is (first1, second1, first2, second2) as ``branch_arrays`` returns it;
+    p may be a float or an array. Every simulated mixed value is mixed here.
     """
     first1, second1, first2, second2 = branches
     return p * first1 + (1 - p) * first2, p * second1 + (1 - p) * second2
-
-
-def pair_simulated(kind: str, phi: float, p: float, v: float | None = None) -> tuple[float, float]:
-    """(value1, value2) from full density-matrix simulation of the strategy mixture."""
-    check_p(p)
-    return mix(branch_values(kind, phi, v), p)
-

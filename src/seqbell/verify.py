@@ -57,9 +57,9 @@ from .qstate import (
 from .scenario import (
     SCENARIOS,
     SQRT2,
+    _operators,
     branch_arrays,
     mix,
-    pair_simulated,
 )
 
 INJECTION_BUMP = 1e-3
@@ -222,14 +222,18 @@ def check_mixture_closed_form_genuine() -> list[Measurement]:
 
 
 def check_mixing_linearity() -> list[Measurement]:
-    dev = 0.0
-    for phi in np.linspace(0.0, PHI_MAX, 7):
-        pure1 = pair_simulated("standard", phi, 1.0)
-        pure2 = pair_simulated("standard", phi, 0.0)
+    # mix against the model: value1 on Charlie_1's observables mixed, value2 on the mixed state.
+    phi = np.linspace(0.0, PHI_MAX, 7)
+    rho, dev = to_density(ghz(phi)), 0.0
+    for kind, v in (("standard", None), ("genuine", 0.8)):
+        (a, b, c1), (_, _, c2), m1, m2 = _operators(kind)
+        value, branches = SCENARIOS[kind].value, branch_arrays(kind, phi, v)
+        after1, after2 = luders_update(rho, m1), luders_update(rho, m2, 0.5 if v is None else v)
         for p in (0.0, 0.25, 0.5, 0.8, 1.0):
-            mixed = pair_simulated("standard", phi, p)
-            dev = _worst(dev, abs(mixed[0] - (p * pure1[0] + (1 - p) * pure2[0])),
-                         abs(mixed[1] - (p * pure1[1] + (1 - p) * pure2[1])))
+            value1, value2 = mix(branches, p)
+            charlie = tuple(p * x + (1 - p) * y for x, y in zip(c1, c2))
+            dev = _worst(dev, np.abs(value1 - value(rho, (a, b, charlie))),
+                         np.abs(value2 - value(p * after1 + (1 - p) * after2, (a, b, c1))))
     return [("max deviation", dev, 1e-12)]
 
 

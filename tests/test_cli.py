@@ -17,7 +17,7 @@ import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
 from seqbell.feasibility import FeasibilityGrid, _fmt, scan, scan_grid
 from seqbell.qstate import PHI_MAX
-from seqbell.scenario import pair_simulated
+from seqbell.scenario import branch_arrays, mix
 
 
 def run_cli(args):
@@ -57,7 +57,7 @@ class TestScanStandard:
                  "--out", str(out)])
         for line in out.read_text().splitlines()[1:]:
             phi, p, v1, v2, flag = line.split(",")
-            m1, m2 = pair_simulated("standard", float(phi), float(p))
+            m1, m2 = mix(branch_arrays("standard", [float(phi)]), float(p))
             assert float(v1) == pytest.approx(m1, rel=1e-11, abs=1e-11)
             assert float(v2) == pytest.approx(m2, rel=1e-11, abs=1e-11)
             assert flag in ("0", "1")

@@ -14,7 +14,7 @@ from seqbell.feasibility import (
     v_threshold_genuine,
     window_membership,
 )
-from seqbell.scenario import pair_simulated
+from seqbell.scenario import branch_arrays, mix
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -179,7 +179,7 @@ class TestScan:
         grid = scan("standard", phi_grid(6), np.linspace(0.0, 1.0, 5))
         for i, phi in enumerate(grid.phi):
             for j, p in enumerate(grid.p):
-                m1, m2 = pair_simulated("standard", float(phi), float(p))
+                m1, m2 = mix(branch_arrays("standard", [float(phi)]), float(p))
                 assert grid.value1[i, j] == m1
                 assert grid.value2[i, j] == m2
 
@@ -187,7 +187,7 @@ class TestScan:
         grid = scan("genuine", phi_grid(5), np.linspace(0.0, 1.0, 4), v=0.8)
         for i, phi in enumerate(grid.phi):
             for j, p in enumerate(grid.p):
-                s1, s2 = pair_simulated("genuine", float(phi), float(p), 0.8)
+                s1, s2 = mix(branch_arrays("genuine", [float(phi)], 0.8), float(p))
                 assert grid.value1[i, j] == s1
                 assert grid.value2[i, j] == s2
 

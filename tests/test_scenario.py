@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from seqbell import bell, cmatrix, scenario
+from seqbell.qstate import check_p
 from seqbell.scenario import (
     SCENARIOS,
     branch_arrays,
-    check_p,
     check_v,
     genuine_branch_values,
-    pair_simulated,
+    mix,
     standard_branch_values,
 )
 
@@ -29,17 +29,17 @@ def closed_pair(kind, phi, p, v=None):
 
 class TestStandardPairs:
     def test_pure_strategy_one(self):
-        m1, m2 = pair_simulated("standard", PI4, 1.0)
+        m1, m2 = mix(branch_arrays("standard", [PI4]), 1.0)
         assert m1 == pytest.approx(4.0, abs=1e-10)
         assert m2 == pytest.approx(2.0, abs=1e-10)
 
     def test_pure_strategy_two(self):
-        m1, m2 = pair_simulated("standard", PI4, 0.0)
+        m1, m2 = mix(branch_arrays("standard", [PI4]), 0.0)
         assert m1 == pytest.approx(2.0, abs=1e-10)
         assert m2 == pytest.approx(3.0, abs=1e-10)
 
     def test_even_mixture(self):
-        m1, m2 = pair_simulated("standard", PI4, 0.5)
+        m1, m2 = mix(branch_arrays("standard", [PI4]), 0.5)
         assert m1 == pytest.approx(3.0, abs=1e-10)
         assert m2 == pytest.approx(2.5, abs=1e-10)
 
@@ -55,17 +55,17 @@ class TestStandardPairs:
     def test_simulated_matches_closed(self):
         for phi in np.linspace(0.0, PI4, 12):
             for p in (0.0, 0.2, 0.5, 0.9, 1.0):
-                sim = pair_simulated("standard", phi, p)
+                sim = mix(branch_arrays("standard", [phi]), p)
                 closed = closed_pair("standard", phi, p)
                 assert sim[0] == pytest.approx(closed[0], abs=1e-10)
                 assert sim[1] == pytest.approx(closed[1], abs=1e-10)
 
     def test_mixing_is_linear(self):
         for phi in (0.3, 0.6, PI4):
-            pure1 = pair_simulated("standard", phi, 1.0)
-            pure2 = pair_simulated("standard", phi, 0.0)
+            pure1 = mix(branch_arrays("standard", [phi]), 1.0)
+            pure2 = mix(branch_arrays("standard", [phi]), 0.0)
             for p in (0.1, 0.45, 0.8):
-                mixed = pair_simulated("standard", phi, p)
+                mixed = mix(branch_arrays("standard", [phi]), p)
                 assert mixed[0] == pytest.approx(
                     p * pure1[0] + (1 - p) * pure2[0], abs=1e-12)
                 assert mixed[1] == pytest.approx(
@@ -75,18 +75,18 @@ class TestStandardPairs:
 class TestGenuinePairs:
     def test_pure_strategy_one_ignores_bias(self):
         for v in (0.2, 0.5, 0.9):
-            s1, s2 = pair_simulated("genuine", PI4, 1.0, v)
+            s1, s2 = mix(branch_arrays("genuine", [PI4], v), 1.0)
             assert s1 == pytest.approx(4 * SQRT2, abs=1e-10)
             assert s2 == pytest.approx(2 * SQRT2, abs=1e-10)
 
     def test_pure_strategy_two(self):
-        s1, s2 = pair_simulated("genuine", PI4, 0.0, 0.8)
+        s1, s2 = mix(branch_arrays("genuine", [PI4], 0.8), 0.0)
         assert s1 == pytest.approx(2 * SQRT2, abs=1e-10)
         assert s2 == pytest.approx(2 * SQRT2 * 1.8, abs=1e-10)
 
     def test_double_violation_point(self):
         # p = 0.45, v = 0.8: 2 sqrt2 * 1.45 and 2 sqrt2 * 1.44, both above 4
-        s1, s2 = pair_simulated("genuine", PI4, 0.45, 0.8)
+        s1, s2 = mix(branch_arrays("genuine", [PI4], 0.8), 0.45)
         assert s1 == pytest.approx(2 * SQRT2 * 1.45, abs=1e-10)
         assert s2 == pytest.approx(2 * SQRT2 * 1.44, abs=1e-10)
         assert s1 > 4 and s2 > 4
@@ -102,7 +102,7 @@ class TestGenuinePairs:
         for phi in np.linspace(0.0, PI4, 8):
             for p in (0.0, 0.4, 1.0):
                 for v in (0.1, 0.5, 0.9):
-                    sim = pair_simulated("genuine", phi, p, v)
+                    sim = mix(branch_arrays("genuine", [phi], v), p)
                     closed = closed_pair("genuine", phi, p, v)
                     assert sim[0] == pytest.approx(closed[0], abs=1e-10)
                     assert sim[1] == pytest.approx(closed[1], abs=1e-10)
@@ -120,16 +120,12 @@ class TestGenuinePairs:
 class TestValidation:
     def test_phi_range(self):
         with pytest.raises(ValueError):
-            pair_simulated("standard", -0.1, 0.5)
-
-    def test_p_range(self):
-        with pytest.raises(ValueError):
-            pair_simulated("standard", 0.5, 1.1)
+            branch_arrays("standard", [-0.1])
 
     def test_v_range(self):
         for v in (0.0, 1.0, -0.3):
             with pytest.raises(ValueError):
-                pair_simulated("genuine", 0.5, 0.5, v)
+                branch_arrays("genuine", [0.5], v)
 
     def test_check_p_and_v(self):
         check_p(0.0)

@@ -132,6 +132,18 @@ def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
     assert "CSV cells not read back as written 3 (tol 0)" in result.detail
 
 
+def test_second_round_mixed_with_the_wrong_strategy_fails_mixing_linearity(monkeypatch):
+    def swapped(branches, p):
+        first1, second1, first2, second2 = branches
+        return p * first1 + (1 - p) * first2, p * second2 + (1 - p) * second1
+
+    monkeypatch.setattr(verify, "mix", swapped)
+    result = run_one(monkeypatch, "mixing-linearity")
+    assert not result.passed
+    # At p = 0 and 1 the genuine second round is off by S2^s2 - S2^s1 = 2 sqrt2 * 0.8 at pi/4.
+    assert result.detail == "max deviation 2.26 (tol 1e-12)"
+
+
 def test_lone_party_reading_a_paired_input_fails_classical_bounds(monkeypatch,
                                                                    fresh_outcome_tables):
     def one_table():

@@ -2,17 +2,20 @@
 
     python3 tools/mutants.py
 
-Copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
-directory and checks that the unmutated copy passes. It then applies one
-textual mutant at a time (its text must occur exactly once in its file),
-runs the Tier-1 suite and ``seqbell verify`` on the copy, and reports the
-tests and checks that failed. The suite runs under the ``probe`` Hypothesis
-profile of ``tests/conftest.py``, which does not shrink a failing example:
-a mutant is killed by the failure itself, not by its smallest example. A
-mutant that neither fails is a survivor, and so is a mutant marked
-``verify=True`` that ``verify`` lets through, even when a test kills it.
-Exits 1 if the unmutated copy fails or any mutant survives. Standard
-library only.
+Copies ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml`` into a
+temporary directory and checks that the unmutated copy passes. It then
+applies one textual mutant at a time (its text must occur exactly once in
+its file), runs the Tier-1 suite and ``seqbell verify`` on the copy, and
+reports the tests and checks that failed. The suite runs under the
+``probe`` Hypothesis profile of ``tests/conftest.py``, which does not
+shrink a failing example: a mutant is killed by the failure itself, not by
+its smallest example. A test kill rests on at least one ``FAILED`` or
+``ERROR`` id that pytest reports; a nonzero exit without one (an internal
+error, a usage error, no tests collected) is a probe error, and the probe
+prints the tail of pytest's output and stops. A mutant that neither fails
+is a survivor, and so is a mutant marked ``verify=True`` that ``verify``
+lets through, even when a test kills it. Exits 1 on a probe error, if the
+unmutated copy fails or if any mutant survives. Standard library only.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml")
 TIMEOUT_S = 600
+TAIL_LINES = 20  # of pytest's output, printed on a probe error
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,9 @@ MUTANTS = (
     Mutant("swapped-genuine-window-ends", "src/seqbell/scenario.py",
            "window=lambda s, v: (SQRT2 / s - 1, 1 - (SQRT2 / s - 1) / v),",
            "window=lambda s, v: (1 - (SQRT2 / s - 1) / v, SQRT2 / s - 1),", verify=True),
+    # The second round pairs p with strategy 2's value and 1 - p with strategy 1's.
+    Mutant("mix-pairs-second-round-with-the-wrong-strategy", "src/seqbell/scenario.py",
+           "p * second1 + (1 - p) * second2", "p * second2 + (1 - p) * second1", verify=True),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
            "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)",
@@ -135,15 +142,31 @@ MUTANTS = (
 )
 
 
-def run_tier1(work: Path, env: dict) -> list[str]:
-    """Ids of the failing Tier-1 tests (``["<no summary>"]`` if pytest failed without one)."""
+def failed_tests(returncode: int, stdout: str) -> list[str] | None:
+    """Ids that pytest's ``-rfE`` summary reports failed, or None if it gave no verdict.
+
+    A collection error is reported as ``ERROR <path>``, so it counts. A nonzero exit
+    that reports no id (an internal error, a usage error, no tests collected) is None.
+    """
+    failed = [line.split()[1] for line in stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return None if returncode != 0 and not failed else failed
+
+
+def run_tier1(work: Path, env: dict, label: str) -> list[str]:
+    """Ids of the failing Tier-1 tests; a probe error if pytest gave no verdict."""
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--hypothesis-profile", "probe", "tests"],
         cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-    failed = [line.split()[1] for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
-    return failed or ([] if proc.returncode == 0 else ["<no summary>"])
+    failed = failed_tests(proc.returncode, proc.stdout)
+    if failed is None:
+        print(f"{label}: probe error, pytest exited {proc.returncode} and reported no failed "
+              "test; the tail of its output:")
+        for line in (proc.stdout + proc.stderr).splitlines()[-TAIL_LINES:]:
+            print(f"    {line}")
+        sys.exit(1)
+    return failed
 
 
 def run_verify(work: Path, env: dict) -> list[str]:
@@ -160,7 +183,7 @@ def probe(work: Path, env: dict, label: str) -> tuple[bool, bool]:
 
     Returns whether Tier-1 failed and whether ``verify`` failed.
     """
-    tests, checks = run_tier1(work, env), run_verify(work, env)
+    tests, checks = run_tier1(work, env, label), run_verify(work, env)
     print(f"{label}: {len(tests)} Tier-1 test(s) and {len(checks)} verify check(s) failed")
     for item in tests + [f"verify {c}" for c in checks]:
         print(f"    {item}")
