@@ -31,6 +31,7 @@ from .feasibility import (
     phi_threshold_genuine,
     phi_threshold_standard,
     scan,
+    scan_blocks,
     scan_grid,
     scan_window_disagreements,
     v_threshold_genuine,
@@ -301,26 +302,34 @@ def check_window_endpoints() -> list[Measurement]:
 
 
 def check_unbiased_genuine_scan() -> list[Measurement]:
-    grid = scan("genuine", *scan_grid(500, 500), v=0.5)
+    grid = scan_blocks("genuine", *scan_grid(500, 500), v=0.5)
     return [("flagged cells at bias 1/2 on a 500x500 grid",
              np.count_nonzero(grid.flagged), 0)]
 
 
 def _scan_consistency(grid, threshold: float) -> list[Measurement]:
-    """Scan flags match the windows off a thin boundary and flag only angles above threshold."""
+    """Scan flags match the windows off a thin boundary and flag only angles above threshold.
+
+    Every 25th row is also scanned one angle at a time, as the CLI scans, and must match.
+    """
     flagged_rows = grid.phi[np.any(grid.flagged, axis=1)]
     mismatches, exempt_share = scan_window_disagreements(grid)
+    rows = scan(grid.kind, grid.phi[::25], grid.p, grid.v)
+    unlike = ((rows.value1.view(np.uint64) != grid.value1[::25].view(np.uint64))
+              | (rows.value2.view(np.uint64) != grid.value2[::25].view(np.uint64))
+              | (rows.flagged != grid.flagged[::25]))
     return [
         ("window mismatches away from the boundary", mismatches, 0),
         ("boundary-exempt share", exempt_share, 0.05),
         (f"flagged angles at or below {threshold:.4f}",
          np.count_nonzero(~(flagged_rows > threshold)), 0),
         ("no flagged angle", int(flagged_rows.size == 0), 0),
+        ("cells unlike the per-angle scan", np.count_nonzero(unlike), 0),
     ]
 
 
 def check_standard_scan_consistency() -> list[Measurement]:
-    grid = scan("standard", *scan_grid(500, 500))
+    grid = scan_blocks("standard", *scan_grid(500, 500))
     # At pi/4, p = 0 and p = 1 each put one value exactly on the bound 2.
     cells = scan("standard", [PHI_MAX], [0.0, 0.5, 1.0])
     _, _, value1, value2, flags = np.loadtxt(
@@ -336,7 +345,7 @@ def check_standard_scan_consistency() -> list[Measurement]:
 
 
 def check_genuine_scan_consistency() -> list[Measurement]:
-    grid = scan("genuine", *scan_grid(250, 250), v=0.8)
+    grid = scan_blocks("genuine", *scan_grid(250, 250), v=0.8)
     return _scan_consistency(grid, phi_threshold_genuine(0.8))
 
 

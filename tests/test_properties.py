@@ -1,6 +1,7 @@
 """Property tests: invariants of the channel, the correlators, the batch kernel
 and the CSV number format, the kernel's two stacked reductions against the
-loops they replaced, and the p-windows against the clamped formulas they replaced.
+loops they replaced, the p-windows against the clamped formulas they replaced,
+and the blocked scan against the per-angle one.
 
 Hypothesis draws pure three-qubit states, one measurement per input (a
 projective measurement along a unit Bloch vector, or the identity),
@@ -24,7 +25,7 @@ from seqbell.bell import (
     mermin_value,
     svetlichny_value,
 )
-from seqbell.feasibility import _fmt, p_window_genuine, p_window_standard
+from seqbell.feasibility import _fmt, p_window_genuine, p_window_standard, scan, scan_blocks
 from seqbell.luders import embed_third, luders_update
 from seqbell.qstate import (
     PHI_MAX,
@@ -294,3 +295,59 @@ def test_stacked_observables_and_effects_are_the_per_member_calls(axes):
     for got, want in zip(projective_from_observable(observables), zip(*per_member), strict=True):
         assert_same_bits(got, np.stack(want))
     assert_same_bits(embed_third(observables), np.stack([embed_third(o) for o in observables]))
+
+
+def increasing_samples(size, low, high):
+    """``size`` distinct floats in [low, high], both ends drawn explicitly, sorted."""
+    return st.lists(st.one_of(st.sampled_from([low, high]), st.floats(low, high)),
+                    min_size=size, max_size=size, unique=True).map(sorted)
+
+
+# Fewer angles than a block, one block, one more and a part block, at most 20 p's.
+@settings(PROPERTY, max_examples=25)
+@given(st.sampled_from(["standard", "genuine"]), st.sampled_from([1, 99, 100, 101, 250]),
+       biases, st.integers(1, 20), st.data())
+def test_blocked_scan_is_the_per_angle_scan(kind, n_phi, v, n_p, data):
+    phi = data.draw(increasing_samples(n_phi, 0.0, PHI_MAX))
+    p = data.draw(increasing_samples(n_p, 0.0, 1.0))
+    v = None if kind == "standard" else v
+    want, got = scan(kind, phi, p, v), scan_blocks(kind, phi, p, v)
+    for name in ("value1", "value2", "flagged"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def scan_error(fn, args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+bad_probabilities = st.one_of(st.just(math.nan),
+                              st.floats(max_value=math.nextafter(0.0, -math.inf)),
+                              st.floats(min_value=math.nextafter(1.0, math.inf)))
+
+
+@PROPERTY
+@given(st.sampled_from(["standard", "genuine"]), st.sampled_from(["phi", "p"]),
+       st.integers(0, 2), st.data())
+def test_blocked_scan_rejects_a_bad_sample_as_the_per_angle_scan_does(kind, axis, index, data):
+    samples = {"phi": [0.1, 0.3, 0.5], "p": [0.0, 0.5, 1.0]}
+    samples[axis][index] = data.draw(bad_angles if axis == "phi" else bad_probabilities)
+    args = (kind, samples["phi"], samples["p"], None if kind == "standard" else 0.8)
+    assert scan_error(scan_blocks, args) == scan_error(scan, args)
+
+
+@pytest.mark.parametrize("args", [
+    ("standard", [0.3, 0.2], [0.5], None),
+    ("standard", [0.2, 0.2], [0.5], None),
+    ("standard", [], [0.5], None),
+    ("standard", [[0.2]], [0.5], None),
+    ("standard", [0.2], [0.5, 0.4], None),
+    ("genuine", [0.2], [0.4, 0.4], 0.8),
+    ("chsh", [0.2], [0.5], None),
+    ("genuine", [0.2], [0.5], None),
+    ("standard", [0.2], [0.5], 0.8),
+    ("genuine", [0.2], [0.5], 1.0),
+])
+def test_blocked_scan_rejects_what_the_per_angle_scan_rejects(args):
+    assert scan_error(scan_blocks, args) == scan_error(scan, args)

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -130,6 +131,21 @@ def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
     result = run_one(monkeypatch, "standard-scan-consistency")
     assert not result.passed
     assert "CSV cells not read back as written 3 (tol 0)" in result.detail
+
+
+def test_per_angle_scan_unlike_the_blocked_one_fails_standard_scan_consistency(monkeypatch):
+    real = feasibility.branch_values
+
+    def strategies_swapped(*args):
+        first1, second1, first2, second2 = real(*args)
+        return first2, second2, first1, second1
+
+    monkeypatch.setattr(feasibility, "branch_values", strategies_swapped)
+    result = run_one(monkeypatch, "standard-scan-consistency")
+    assert not result.passed
+    # The swap mixes each cell as 1 - p would, so the per-angle rows differ off p = 1/2.
+    unlike = re.search(r"cells unlike the per-angle scan (\S+) \(tol 0\)", result.detail)
+    assert unlike is not None and float(unlike[1]) > 0
 
 
 def test_second_round_mixed_with_the_wrong_strategy_fails_mixing_linearity(monkeypatch):

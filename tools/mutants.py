@@ -65,6 +65,14 @@ MUTANTS = (
            verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
            "values[0::3] = row1.tolist()", "values[0::3] = row2.tolist()", verify=True),
+    # The blocked scan writes each block's value1 into value2 and value2 into value1.
+    # The flag rule is symmetric in the two values, so only the per-angle cross-check sees it.
+    Mutant("blocked-scan-swaps-value-arrays", "src/seqbell/feasibility.py",
+           "value1[rows], value2[rows] = mix(", "value2[rows], value1[rows] = mix(", verify=True),
+    # The genuine threshold angle loses the sqrt2 of S = 2 sqrt2 (...) sin 2phi.
+    Mutant("genuine-threshold-drops-sqrt2", "src/seqbell/feasibility.py",
+           "math.asin(SQRT2 * (1 + v) / (1 + 2 * v))", "math.asin((1 + v) / (1 + 2 * v))",
+           verify=True),
     # A scenario's p-window returns its ends the wrong way round, so it reads empty
     # wherever it was open.
     Mutant("swapped-standard-window-ends", "src/seqbell/scenario.py",
