@@ -65,10 +65,12 @@ def hybrid_strategies() -> Iterator[Table]:
 def outcome_tables(model: str) -> np.ndarray:
     """The outcome tables of every ``"local"`` or ``"hybrid"`` strategy, in generator order."""
     strategies = {"local": local_strategies, "hybrid": hybrid_strategies}[model]()
-    # Table by table: a list of all 3,072 tuples would add about 3 MB to the peak RSS.
-    tables = np.fromiter(strategies, dtype=np.dtype((np.int8, (8, 3))))
-    tables.flags.writeable = False
-    return tables
+    # Outcome by outcome, as the generator yields its tables: a list of all 3,072 tuples would
+    # add about 3 MB to the peak RSS, and a subarray dtype fills about 1.5x slower.
+    outcomes = itertools.chain.from_iterable(itertools.chain.from_iterable(strategies))
+    flat = np.fromiter(outcomes, np.int8)
+    flat.flags.writeable = False  # and with it every view, the tables returned included
+    return flat.reshape(-1, 8, 3)
 
 
 def _value(strategy, terms):

@@ -16,12 +16,18 @@ each member. Or each of N states (N, 8, 8) has its own channel: effects
 stacked (N, 2, 2), ``prob_z0`` of shape (N,), or both; a stack of any other
 length raises rather than broadcasts. The guards reduce over the batch.
 
-The weighted products are evaluated as one stack and added along the effect
-axis with ``np.add.accumulate``, which adds in index order (``.sum`` promises
-no order): the same order, and so the same bits, as adding them one by one
-into a zero state. A zero start turns a -0.0 entry into +0.0; the trailing
-``+ 0.0`` does the same. An input of weight 0.0 adds signed zeros, so the bits
-are those of skipping it.
+The update is two steps. ``luders_products`` builds the four products
+E rho E, one per effect, as one stack (..., 4, 8, 8); only their weights
+(q, q, 1 - q, 1 - q) depend on ``prob_z0``. ``luders_weigh`` weighs them
+and adds them, and every update goes through it: ``luders_update`` is the
+two steps in one call, and a sweep over biases builds the products once and
+weighs them once per bias. The weighted products are added by explicit
+in-order adds, ((t0 + t1) + t2) + t3: the same order, and so the same bits,
+as adding them one by one into a zero state, at a fraction of the cost of
+``np.add.accumulate`` along the effect axis (``.sum`` promises no order). A
+zero start turns a -0.0 entry into +0.0; the trailing ``+ 0.0`` does the
+same. An input of weight 0.0 adds signed zeros, so the bits are those of
+skipping it.
 """
 
 from __future__ import annotations
@@ -42,27 +48,47 @@ def embed_third(e: np.ndarray) -> np.ndarray:
     return kron(EYE4, e)
 
 
+def _check_members(members: tuple, rho: np.ndarray) -> None:
+    """A stack of channels has one member axis, as long as the stack of states."""
+    if members and (len(members) > 1 or members != rho.shape[:-2]):
+        raise ValueError(f"channels {members} do not line up with states {rho.shape[:-2]}")
+
+
+def luders_products(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair]) -> np.ndarray:
+    """The products E rho E of the effects for z = 0, then z = 1, stacked (..., 4, 8, 8)."""
+    if len(measurements) != 2:
+        raise ValueError(f"expected an effect pair per input, got {len(measurements)} pairs")
+    e8 = [embed_third(effect) for meas in measurements for effect in meas]
+    # N channels: (N, 4, 8, 8). One: (4, 8, 8), the swap a no-op.
+    e8 = np.array(e8).swapaxes(0, -3)
+    _check_members(e8.shape[:-3], rho)
+    return e8 @ rho[..., None, :, :] @ e8
+
+
+def luders_weigh(rho: np.ndarray, products: np.ndarray, prob_z0: float) -> np.ndarray:
+    """The state after the channel whose ``luders_products(rho, ...)`` are ``products``.
+
+    ``prob_z0`` is one bias or, for a stack of channels, one per member. ``products``
+    is only read, so one stack serves any number of biases; the trace guard runs on
+    each state this returns.
+    """
+    check_p(prob_z0, "prob_z0")
+    weights = (prob_z0, 1.0 - prob_z0)
+    # Each input's weight on both of its effects. N channels: (N, 4). One: (4,), the .T a no-op.
+    q = np.array((weights[0], weights[0], weights[1], weights[1])).T
+    _check_members(q.shape[:-1], rho)
+    t = q[..., None, None] * products
+    out = ((t[..., 0, :, :] + t[..., 1, :, :]) + t[..., 2, :, :]) + t[..., 3, :, :] + 0.0
+    drift = np.abs(out.trace(axis1=-2, axis2=-1) - rho.trace(axis1=-2, axis2=-1)).max()
+    if not drift <= _TRACE_TOL:
+        raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")
+    return out
+
+
 def luders_update(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair],
                   prob_z0: float = 0.5) -> np.ndarray:
     """Average post-measurement state after one observer's measurement.
 
     ``measurements`` holds the effect pair for input z = 0 and for z = 1.
     """
-    check_p(prob_z0, "prob_z0")
-    weights = (prob_z0, 1.0 - prob_z0)
-    e8, q = [], []
-    for weight, meas in zip(weights, measurements, strict=True):
-        for effect in meas:
-            e8.append(embed_third(effect))
-            q.append(weight)
-    # N channels: (N, 4, 8, 8) and (N, 4). One: (4, 8, 8) and (4,), each swap a no-op.
-    e8, q = np.array(e8).swapaxes(0, -3), np.array(q).T
-    for members in (e8.shape[:-3], q.shape[:-1]):
-        if members and (len(members) > 1 or members != rho.shape[:-2]):
-            raise ValueError(f"channels {members} do not line up with states {rho.shape[:-2]}")
-    terms = q[..., None, None] * (e8 @ rho[..., None, :, :] @ e8)
-    out = np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
-    drift = np.abs(out.trace(axis1=-2, axis2=-1) - rho.trace(axis1=-2, axis2=-1)).max()
-    if not drift <= _TRACE_TOL:
-        raise RuntimeError(f"state update did not preserve the trace (drift {drift:g})")
-    return out
+    return luders_weigh(rho, luders_products(rho, measurements), prob_z0)

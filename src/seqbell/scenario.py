@@ -34,7 +34,9 @@ N = 1 calls, for the benchmark-pinned scan loop alone. Its operators are built a
 checked once per process, on first use, and registered with ``cmatrix.constant``, so
 ``cmatrix.kron`` makes each of their Kronecker products once.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
-biases and then computes the three other branches once; each row is bitwise one bias alone.
+biases and then computes the three other branches once. It also makes strategy 2's four
+channel products once (``luders_products``) and weighs them per bias (``luders_weigh``), one
+inequality evaluation per bias; each row is bitwise one bias alone.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .bell import (
     svetlichny_value,
 )
 from .cmatrix import EYE2, constant
-from .luders import luders_update
+from .luders import luders_products, luders_update, luders_weigh
 from .qstate import (
     bloch_obs,
     ghz,
@@ -165,10 +167,15 @@ def branch_arrays(kind: str, phi, v=None):
     settings1, settings2, measurements1, measurements2 = _operators(kind)
     phi = np.asarray(phi, dtype=float)
     rho = to_density(ghz(phi))
-    prob_z0 = 0.5 if v is None else v  # strategy 2's z = 0 probability
-    second2 = np.empty(np.shape(prob_z0) + phi.shape)  # one row per bias of a bias array
-    for k, q in np.ndenumerate(prob_z0):  # float(q): cheaper than np.float64 in the channel
-        second2[k] = scenario.value(luders_update(rho, measurements2, float(q)), settings1)
+    # q: strategy 2's z = 0 probability, as float: cheaper than np.float64 in the channel.
+    if biases.ndim == 0:  # one channel call, as on every per-angle path
+        q = 0.5 if v is None else float(v)
+        second2 = scenario.value(luders_update(rho, measurements2, q), settings1)
+    else:  # strategy 2's products made once, weighed once per bias: one row per bias
+        products2 = luders_products(rho, measurements2)
+        second2 = np.empty(biases.shape + phi.shape)
+        for k, q in enumerate(biases):
+            second2[k] = scenario.value(luders_weigh(rho, products2, float(q)), settings1)
     return (
         scenario.value(rho, settings1),
         scenario.value(luders_update(rho, measurements1), settings1),

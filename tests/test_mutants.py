@@ -1,4 +1,7 @@
-"""The mutation probe's reading of a pytest run: a kill needs a reported failed id."""
+"""The mutation probe's reading of a pytest run, where a kill needs a reported failed id, and
+its mutants' targets."""
+
+import pytest
 
 import mutants  # tools/mutants.py, on the suite's pythonpath
 
@@ -44,3 +47,14 @@ def test_internal_error_is_no_verdict():
 
 def test_clean_exit_gives_no_id():
     assert mutants.failed_tests(0, "3 passed in 0.05s\n") == []
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
+def test_mutant_text_occurs_once_in_its_file(mutant):
+    # The probe counts a target that moved as a survivor; this fails at once instead.
+    assert (mutants.ROOT / mutant.path).read_text().count(mutant.old) == 1
+
+
+def test_the_probe_runs_without_the_target_test():
+    name = test_mutant_text_occurs_once_in_its_file.__name__
+    assert mutants.TARGET_TEST == f"tests/test_mutants.py::{name}"

@@ -26,7 +26,7 @@ from seqbell.bell import (
     svetlichny_value,
 )
 from seqbell.feasibility import _fmt, p_window_genuine, p_window_standard, scan, scan_blocks
-from seqbell.luders import embed_third, luders_update
+from seqbell.luders import embed_third, luders_products, luders_update, luders_weigh
 from seqbell.qstate import (
     PHI_MAX,
     bloch_obs,
@@ -253,6 +253,21 @@ X_THEN_IDENTITY = (projective_from_observable(pauli("x")), identity_measurement(
 def test_update_is_the_effect_by_effect_loop(rho, measurements, prob_z0):
     assert_same_bits(luders_update(rho, measurements, prob_z0),
                      reference_luders_update(rho, measurements, prob_z0))
+
+
+# A bias sweep: one set of products, weighed at each bias in turn, both ends included.
+bias_arrays = st.lists(prob_z0s, min_size=1, max_size=5).map(np.array)
+
+
+@PROPERTY
+@given(rho_batches, measurement_pairs, bias_arrays)
+@example(GHZ_EDGES, X_THEN_IDENTITY, np.array([0.0, 1.0, 0.5]))
+@example(GHZ_EDGES, X_THEN_IDENTITY[::-1], np.array([1.0, 0.0]))
+def test_products_weighed_per_bias_are_the_effect_by_effect_loop(rho, measurements, biases):
+    products = luders_products(rho, measurements)
+    for q in biases:
+        assert_same_bits(luders_weigh(rho, products, float(q)),
+                         reference_luders_update(rho, measurements, float(q)))
 
 
 # A member of a stack: its own state (pure, or GHZ-class with many exact zeros), its

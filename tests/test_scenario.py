@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqbell import bell, cmatrix, scenario
+from seqbell import bell, cmatrix, luders, scenario
 from seqbell.qstate import check_p
 from seqbell.scenario import (
     SCENARIOS,
@@ -161,6 +161,15 @@ class TestBiasAxis:
     def test_bad_bias_is_rejected_by_value(self, bad):
         with pytest.raises(ValueError, match=rf"^v={bad} outside \(0, 1\)$"):
             branch_arrays("genuine", self.PHI, [0.3, 0.8, bad, 0.5])
+
+    @pytest.mark.parametrize("v", [0.8, [0.8], [0.3, 0.8], BIASES])
+    def test_each_effect_is_embedded_once_whatever_the_biases(self, monkeypatch, v):
+        # Strategy 2's products are made once and weighed per bias, not made per bias.
+        embedded = []
+        real = luders.embed_third
+        monkeypatch.setattr(luders, "embed_third", lambda e: embedded.append(e) or real(e))
+        branch_arrays("genuine", self.PHI, v)
+        assert len(embedded) == 8
 
     def test_bias_array_needs_the_genuine_scenario_and_one_axis(self):
         with pytest.raises(ValueError, match="not a parameter of the standard scenario"):
