@@ -92,34 +92,47 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-# The phi column's slot in a row block's template: one byte that neither the
+# The phi column's slot in a block's template: one byte that neither the
 # header nor any ``_fmt`` text holds. Flags are written as their digit's bytes.
 _PHI_SLOT = "\0"
 _FLAG_TEXT = np.array([b"0", b"1"], dtype=object)
+
+# Cells per ``%`` call in ``grid_to_csv``. Measured in process on a 2-CPU x86-64 machine,
+# medians of 11: a 20x25,000 genuine grid formats in 361 ms in blocks of 2,048 against
+# 391 ms for whole rows (369 ms at 512 and at 8,192 cells), and its traced peak above the
+# 30.6 MiB output falls from 7.9 to 3.0 MiB; on 2x100,000 it falls from 17.5 to 4.6 MiB.
+# A 500-cell row is one block, so the default grid is unchanged (157 against 160 ms).
+_CSV_BLOCK = 2048
 
 
 def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
     """The grid as ASCII CSV bytes, phi-major, ending in a newline.
 
-    Each phi row block is one ``%`` call on a bytes template and is appended
-    to one buffer, so the text never exists twice. The template is built once
-    per grid and spells out the p and v columns (``_fmt`` text holds no ``%``).
-    Each block splices its ``_fmt(phi)`` into the template's phi slots with one
-    ``bytes.replace``, a copy of the template and not of the formatted block.
-    Only the two values go through ``%.12g`` (the text of ``_fmt``) per cell;
-    the flag goes through ``%b`` as the bytes ``0`` or ``1``.
+    Each phi row is formatted in blocks of at most ``_CSV_BLOCK`` cells: one ``%``
+    call per block on a bytes template, appended to one buffer, so the text never
+    exists twice and at most one block of it is in flight. The templates, one per
+    block of p columns and one row's worth in all, are built once per grid and spell
+    out the p and v columns (``_fmt`` text holds no ``%``). Each block splices its
+    ``_fmt(phi)`` into its template's phi slots with one ``bytes.replace``. Only the
+    two values go through ``%.12g`` (the text of ``_fmt``) per cell; the flag goes
+    through ``%b`` as the bytes ``0`` or ``1``.
     """
     v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
     csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
-    template = "".join(f"{_PHI_SLOT},{_fmt(p)}{v_col},%.12g,%.12g,%b\n"
-                       for p in grid.p).encode()
+    blocks = [(slice(k, k + _CSV_BLOCK),
+               "".join(f"{_PHI_SLOT},{_fmt(p)}{v_col},%.12g,%.12g,%b\n"
+                       for p in grid.p[k:k + _CSV_BLOCK]).encode())
+              for k in range(0, grid.p.size, _CSV_BLOCK)]
     slot = _PHI_SLOT.encode()
-    values = [None] * (3 * grid.p.size)
     for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        values[0::3] = row1.tolist()
-        values[1::3] = row2.tolist()
-        values[2::3] = _FLAG_TEXT[flags.view(np.uint8)].tolist()
-        csv += template.replace(slot, _fmt(phi).encode()) % tuple(values)
+        phi_text = _fmt(phi).encode()
+        for cells, template in blocks:
+            value1 = row1[cells].tolist()
+            values = [None] * (3 * len(value1))
+            values[0::3] = value1
+            values[1::3] = row2[cells].tolist()
+            values[2::3] = _FLAG_TEXT[flags[cells].view(np.uint8)].tolist()
+            csv += template.replace(slot, phi_text) % tuple(values)
     return csv
 
 
@@ -196,24 +209,17 @@ def window_membership(grid: FeasibilityGrid) -> np.ndarray:
     return (lo < grid.p) & (grid.p < hi)
 
 
-def _neighborhood_constant(mask: np.ndarray) -> np.ndarray:
-    """Cells whose full 3x3 neighborhood (edge-clamped) agrees with them."""
-    padded = np.pad(mask, 1, mode="edge")
-    same = np.ones_like(mask, dtype=bool)
-    rows, cols = mask.shape
-    for di in range(3):
-        for dj in range(3):
-            same &= padded[di : di + rows, dj : dj + cols] == mask
-    return same
+def scan_window_disagreements(grid: FeasibilityGrid) -> tuple[int, int]:
+    """Flagged/window mismatches off the bound, and the cells on it.
 
-
-def scan_window_disagreements(grid: FeasibilityGrid) -> tuple[int, float]:
-    """Flagged/window mismatches away from the window boundary, and the exempt share.
-
-    Cells within one grid step of the closed-form boundary are exempt:
-    strict-inequality classification there is resolution-dependent.
+    A cell where either value lies within ``VIOLATION_MARGIN`` of the scenario's
+    bound is exempt: whether it counts as a violation is decided by the margin
+    and by rounding, not by the closed form. Every other cell must agree. The
+    band is compared end by end, so it makes no temporary array of floats.
     """
-    inside = window_membership(grid)
-    interior = _neighborhood_constant(inside)
-    mismatches = int(np.count_nonzero(grid.flagged[interior] != inside[interior]))
-    return mismatches, float(np.mean(~interior))
+    bound = SCENARIOS[grid.kind].bound
+    lo, hi = bound - VIOLATION_MARGIN, bound + VIOLATION_MARGIN
+    on_bound = (((lo <= grid.value1) & (grid.value1 <= hi))
+                | ((lo <= grid.value2) & (grid.value2 <= hi)))
+    unlike = grid.flagged != window_membership(grid)
+    return int(np.count_nonzero(unlike & ~on_bound)), int(np.count_nonzero(on_bound))

@@ -15,7 +15,7 @@ import seqbell.cli as cli
 import seqbell.feasibility as feasibility
 import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
-from seqbell.feasibility import FeasibilityGrid, _fmt, scan, scan_grid
+from seqbell.feasibility import FeasibilityGrid, _fmt, scan, scan_blocks, scan_grid
 from seqbell.qstate import PHI_MAX
 from seqbell.scenario import branch_arrays, mix
 
@@ -302,6 +302,9 @@ def random_grids(n_phi, n_p):
                      flagged=cells(st.booleans()))
 
 
+BLOCK = feasibility._CSV_BLOCK
+
+
 class TestGridWriters:
     @pytest.mark.parametrize("v", [None, 0.8, 1e-13])
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
@@ -317,6 +320,17 @@ class TestGridWriters:
         csv = cli.grid_to_csv(grid)
         assert csv == reference_csv(grid).encode("ascii")
         assert feasibility._PHI_SLOT.encode() not in csv
+
+    @pytest.mark.parametrize("v", [None, 0.8])
+    @pytest.mark.parametrize("n_p", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_matches_per_cell_reference_across_block_boundaries(self, n_p, v):
+        rng = np.random.default_rng(n_p)
+        shape = (3, n_p)
+        grid = FeasibilityGrid(kind="standard" if v is None else "genuine",
+                               phi=np.sort(rng.random(3)), p=np.linspace(0.0, 1.0, n_p), v=v,
+                               value1=rng.normal(2.0, 1.0, shape),
+                               value2=rng.normal(2.0, 1.0, shape), flagged=rng.random(shape) < 0.5)
+        assert cli.grid_to_csv(grid) == reference_csv(grid).encode("ascii")
 
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
     def test_svg_runs_match_flag_walk(self, name):
@@ -353,6 +367,16 @@ class TestOutputMemory:
         data, peak = traced_peak(cli.grid_to_csv, grid)
         block = len(data) / grid.phi.size
         assert peak <= len(data) + 6 * block
+
+    def test_long_rows_are_formatted_in_blocks(self, traced_peak):
+        # Beside the output the writer holds the buffer's growth slack (up to an eighth
+        # of the output), one row's templates (about 0.55 of a row's text here) and one
+        # block's values and text, whatever n_p is: 4.6 MiB above the 11.4 MiB output.
+        # Formatting whole rows held 17.5 MiB, three copies of a row's text.
+        grid = scan_blocks("standard", *scan_grid(2, 100_000))
+        data, peak = traced_peak(cli.grid_to_csv, grid)
+        row = len(data) / grid.phi.size
+        assert peak <= len(data) + row
 
     def test_atomic_write_makes_no_copy(self, tmp_path, traced_peak):
         data = b"0123456789abcde\n" * (1 << 19)  # 8 MiB

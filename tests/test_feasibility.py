@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from seqbell.feasibility import (
     FeasibilityGrid,
+    _classified,
     p_window_genuine,
     p_window_standard,
     phi_threshold_genuine,
@@ -16,7 +18,7 @@ from seqbell.feasibility import (
     v_threshold_genuine,
     window_membership,
 )
-from seqbell.scenario import branch_arrays, mix
+from seqbell.scenario import SCENARIOS, VIOLATION_MARGIN, branch_arrays, mix
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)
@@ -145,35 +147,43 @@ def reference_membership(grid):
 class TestWindowDisagreements:
     """Flags equal to the closed-form windows, with one cell flipped by hand."""
 
-    def cells(self, inside, interior):
-        """Cells (i, j) whose 3x3 neighborhood agrees with them (or not)."""
-        rows, cols = inside.shape
-        return [(i, j) for i in range(1, rows - 1) for j in range(1, cols - 1)
-                if (inside[i - 1 : i + 2, j - 1 : j + 2] == inside[i, j]).all() == interior]
-
-    def flipped(self, inside, cell):
+    def flipped(self, inside, cell, values=None):
         flagged = inside.copy()
         flagged[cell] = not flagged[cell]
-        return hand_grid(flagged)
+        grid = hand_grid(flagged)
+        return grid if values is None else dataclasses.replace(grid, value1=values)
 
     def test_matching_flags_count_zero(self):
         inside = window_membership(hand_grid())
         assert inside.any() and not inside.all()
-        assert scan_window_disagreements(hand_grid(inside))[0] == 0
+        assert scan_window_disagreements(hand_grid(inside)) == (0, 0)
 
     def test_flipped_interior_cell_counts_once(self):
+        # Every cell off the bound is compared, those beside the window boundary too.
         inside = window_membership(hand_grid())
-        interior = self.cells(inside, interior=True)
-        for want in (True, False):  # one cell inside the window, one outside
-            cell = next(c for c in interior if inside[c] == want)
-            assert scan_window_disagreements(self.flipped(inside, cell))[0] == 1, cell
+        for cell in np.ndindex(inside.shape):
+            assert scan_window_disagreements(self.flipped(inside, cell)) == (1, 0), cell
 
-    def test_flipped_boundary_cell_counts_zero(self):
+    def test_flipped_cell_on_the_bound_counts_zero(self):
         inside = window_membership(hand_grid())
-        boundary = self.cells(inside, interior=False)
-        assert boundary
-        for cell in boundary:
-            assert scan_window_disagreements(self.flipped(inside, cell))[0] == 0, cell
+        bound = SCENARIOS["standard"].bound
+        for cell in ((0, 0), (10, 10), (19, 19)):
+            for offset, counted in ((0.0, 0), (VIOLATION_MARGIN / 2, 0),
+                                    (-VIOLATION_MARGIN / 2, 0), (2 * VIOLATION_MARGIN, 1),
+                                    (-2 * VIOLATION_MARGIN, 1)):
+                values = np.zeros(inside.shape)
+                values[cell] = bound + offset
+                grid = self.flipped(inside, cell, values)
+                assert scan_window_disagreements(grid) == (counted, 1 - counted), (cell, offset)
+
+
+def test_violation_margin_sets_the_flag_threshold():
+    # Values a margin's half above the bound are not violations, two margins above are.
+    for kind, v in (("standard", None), ("genuine", 0.8)):
+        bound = SCENARIOS[kind].bound
+        values = np.array([[bound, bound + VIOLATION_MARGIN / 2, bound + 2 * VIOLATION_MARGIN]])
+        grid = _classified(kind, np.array([PI4]), np.array([0.0, 0.5, 1.0]), v, values, values)
+        assert grid.flagged.tolist() == [[False, False, True]], kind
 
 
 class TestScan:

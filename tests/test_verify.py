@@ -96,16 +96,15 @@ def test_nan_branch_value_fails_mermin_check(monkeypatch):
 
 
 def test_all_exempt_window_comparison_fails_scan_consistency(monkeypatch):
-    def no_interior(mask):
-        return np.zeros_like(mask, dtype=bool)
-
-    monkeypatch.setattr(feasibility, "_neighborhood_constant", no_interior)
+    # An infinite margin puts every cell on the bound, and none is compared.
+    monkeypatch.setattr(feasibility, "VIOLATION_MARGIN", math.inf)
     monkeypatch.setattr(verify, "CHECKS", (
         ("genuine-scan-consistency", verify.check_genuine_scan_consistency),
     ))
     (result,) = verify.run_checks()
     assert not result.passed
-    assert "boundary-exempt share 1 (tol 0.05)" in result.detail
+    assert "window mismatches off the bound 0 (tol 0)" in result.detail
+    assert "|cells within the margin of a bound - 1| 6.25e+04 (tol 0)" in result.detail
 
 
 def run_one(monkeypatch, name):

@@ -60,14 +60,21 @@ MUTANTS = (
     # Values a hair below the bound count as violations.
     Mutant("M2-negative-violation-margin", "src/seqbell/scenario.py",
            "VIOLATION_MARGIN = 1e-9", "VIOLATION_MARGIN = -1e-9", verify=True),
-    # Every cell boundary-exempt, so scan/window disagreements read 0 by construction.
+    # Every cell counts as on the bound, so scan/window disagreements read 0 by construction.
     Mutant("M4-no-interior-cells", "src/seqbell/feasibility.py",
-           "    return same\n", "    return np.zeros_like(same)\n", verify=True),
+           "lo, hi = bound - VIOLATION_MARGIN, bound + VIOLATION_MARGIN",
+           "lo, hi = -np.inf, np.inf", verify=True),
     Mutant("inverted-csv-flag", "src/seqbell/feasibility.py",
-           "_FLAG_TEXT[flags.view(np.uint8)]", "_FLAG_TEXT[(~flags).view(np.uint8)]",
+           "_FLAG_TEXT[flags[cells].view(np.uint8)]", "_FLAG_TEXT[(~flags[cells]).view(np.uint8)]",
            verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
-           "values[0::3] = row1.tolist()", "values[0::3] = row2.tolist()", verify=True),
+           "values[0::3] = value1", "values[0::3] = row2[cells].tolist()", verify=True),
+    # A row longer than one CSV block loses its partial last block. Test-only: every
+    # row verify formats is one block; the block-boundary test owns it.
+    Mutant("csv-drops-partial-last-block", "src/seqbell/feasibility.py",
+           "for k in range(0, grid.p.size, _CSV_BLOCK)]",
+           "for k in range(0, grid.p.size - grid.p.size % _CSV_BLOCK or grid.p.size, _CSV_BLOCK)]",
+           verify=False),
     # The blocked scan writes each block's value1 into value2 and value2 into value1.
     # The flag rule is symmetric in the two values, so only the per-angle cross-check sees it.
     Mutant("blocked-scan-swaps-value-arrays", "src/seqbell/feasibility.py",
@@ -84,6 +91,16 @@ MUTANTS = (
     Mutant("swapped-genuine-window-ends", "src/seqbell/scenario.py",
            "window=lambda s, v: (SQRT2 / s - 1, 1 - (SQRT2 / s - 1) / v),",
            "window=lambda s, v: (1 - (SQRT2 / s - 1) / v, SQRT2 / s - 1),", verify=True),
+    # A window's lower end drifts by c (1 - sin 2phi): unmoved at pi/4, where
+    # window-endpoints looks, and at the threshold by an eighth of a p step of
+    # verify's standard grid and a quarter of one of its genuine grid.
+    Mutant("standard-window-lower-end-drifts", "src/seqbell/scenario.py",
+           "window=lambda s, v: (1 / s - 1, 3 - 2 / s),",
+           "window=lambda s, v: (1 / s - 1 + 1e-3 * (1 - s), 3 - 2 / s),", verify=True),
+    Mutant("genuine-window-lower-end-drifts", "src/seqbell/scenario.py",
+           "window=lambda s, v: (SQRT2 / s - 1, 1 - (SQRT2 / s - 1) / v),",
+           "window=lambda s, v: (SQRT2 / s - 1 + 5e-2 * (1 - s), 1 - (SQRT2 / s - 1) / v),",
+           verify=True),
     # The second round pairs p with strategy 2's value and 1 - p with strategy 1's.
     Mutant("mix-pairs-second-round-with-the-wrong-strategy", "src/seqbell/scenario.py",
            "p * second1 + (1 - p) * second2", "p * second2 + (1 - p) * second1", verify=True),
