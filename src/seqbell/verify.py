@@ -12,11 +12,15 @@ passes when it does not raise and all of its measurements pass. The
 detail text is ``label value (tol T)`` per measurement, joined by ``; ``.
 Fault injection raises the first measurement of the named check by
 ``tol + INJECTION_BUMP``, so that check fails at any tolerance scale.
+The two checks with random inputs draw them from their own seeded
+``random.Random``: the global generator is left as it was, and ``verify``
+never loads ``numpy.random`` (about 6 MB of RSS).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,19 +88,27 @@ def _worst(*values) -> float:
     return float(np.max([np.max(x) for x in values]))
 
 
-def _random_strategy(rng) -> tuple[tuple, float]:
+def _random_strategy(rng: random.Random) -> tuple[tuple, float]:
     """Draws for a random measurement pair, each a unit Bloch vector or None, then prob_z0."""
     def one_measurement():
         if rng.random() < 0.25:
             return None
-        n = rng.normal(size=3)
-        return n / np.sqrt(n.dot(n))  # np.linalg.norm's arithmetic on a real vector, less overhead
+        x, y, z = (rng.gauss(0.0, 1.0) for _ in range(3))
+        r = math.sqrt(x * x + y * y + z * z)
+        return x / r, y / r, z / r
 
-    return (one_measurement(), one_measurement()), float(rng.random())
+    return (one_measurement(), one_measurement()), rng.random()
+
+
+def _complex_gaussian(rng: random.Random) -> np.ndarray:
+    """A 4x4 matrix of standard Gaussian draws: the 16 real parts, then the 16 imaginary."""
+    real = [rng.gauss(0.0, 1.0) for _ in range(16)]
+    imag = [rng.gauss(0.0, 1.0) for _ in range(16)]
+    return np.array(real).reshape(4, 4) + 1j * np.array(imag).reshape(4, 4)
 
 
 def check_matrix_identities() -> list[Measurement]:
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     alphabet = [pauli(ax) for ax in "xyz"] + [EYE2.copy()]  # unregistered: kron multiplies afresh
     dev = 0.0
     # Kronecker associativity: exact on the operator alphabet in use.
@@ -105,8 +117,7 @@ def check_matrix_identities() -> list[Measurement]:
             for c in alphabet:
                 dev = _worst(dev, np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))
     for _ in range(50):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a, b = _complex_gaussian(rng), _complex_gaussian(rng)
         dev = _worst(dev, abs(np.trace(a @ b) - np.trace(b @ a)),
                      np.abs(kron(a, b).conj().T - kron(a.conj().T, b.conj().T)))
     # Once the kernel has run for both kinds, each product in the kron memo is a fresh one.
@@ -129,7 +140,7 @@ def check_state_invariants() -> list[Measurement]:
 
 
 def check_channel_properties() -> list[Measurement]:
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
     phi = np.empty(1000)
     draws = []
     for i in range(phi.size):

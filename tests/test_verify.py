@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -209,36 +210,58 @@ def test_kron_memo_holds_the_48_kernel_products_after_a_registry_swap(monkeypatc
     assert len(cmatrix.kron_memo()) == 48
 
 
-def test_checks_do_not_load_the_cli():
-    # cli imports verify; an import back would load cli.py a second time under -m.
-    code = ("import sys\nimport seqbell.verify as verify\n"
-            "verify.check_standard_scan_consistency()\n"
-            "print('seqbell.cli' in sys.modules)\n")
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's seqbell."""
     src = os.path.dirname(os.path.dirname(verify.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=600, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_checks_do_not_load_the_cli():
+    # cli imports verify; an import back would load cli.py a second time under -m.
+    code = ("import sys\nimport seqbell.verify as verify\n"
+            "verify.check_standard_scan_consistency()\n"
+            "print('seqbell.cli' in sys.modules)\n")
+    assert _fresh_interpreter(code) == "False\n"
+
+
+def test_checks_do_not_load_numpy_random():
+    # Loading numpy.random (and secrets, hashlib, hmac with it) costs about 6 MB of RSS.
+    code = ("import sys\nimport seqbell.verify as verify\n"
+            "assert all(result.passed for result in verify.run_checks())\n"
+            "print('numpy.random' in sys.modules)\n")
+    assert _fresh_interpreter(code) == "False\n"
+
+
+def test_seeded_checks_leave_the_global_generator_and_repeat_their_draws():
+    seeded = (verify.check_matrix_identities, verify.check_channel_properties)
+    state = random.getstate()
+    first = [check() for check in seeded]
+    verify.run_checks()
+    assert random.getstate() == state
+    assert [check() for check in seeded] == first
 
 
 def test_channel_properties_equal_the_per_member_loop():
     # Reference: each member prepared, updated and checked on its own, drawing phi,
     # then two measurements (identity with probability 1/4, else a random Bloch
     # axis), then prob_z0.
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
     trace_dev, neg_eig = 0.0, -np.inf
     for _ in range(1000):
-        rho = to_density(ghz(float(rng.random()) * PHI_MAX))
+        rho = to_density(ghz(rng.random() * PHI_MAX))
         pair = []
         for _ in range(2):
             if rng.random() < 0.25:
                 pair.append(identity_measurement())
             else:
-                n = rng.normal(size=3)
-                n /= np.linalg.norm(n)
-                pair.append(projective_from_observable(bloch_obs(*n)))
-        out = luders_update(rho, tuple(pair), float(rng.random()))
+                x, y, z = (rng.gauss(0.0, 1.0) for _ in range(3))
+                r = math.sqrt(x * x + y * y + z * z)
+                pair.append(projective_from_observable(bloch_obs(x / r, y / r, z / r)))
+        out = luders_update(rho, tuple(pair), rng.random())
         trace_dev = max(trace_dev, abs(np.trace(out).real - 1.0))
         neg_eig = max(neg_eig, float(np.max(-np.linalg.eigvalsh(out))))
     measured = [m for _, m, _ in verify.check_channel_properties()]

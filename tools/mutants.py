@@ -160,6 +160,14 @@ MUTANTS = (
            "        draws.append(_random_strategy(rng))\n",
            "        draws.append(_random_strategy(rng))\n"
            "        phi[i] = float(rng.random()) * PHI_MAX\n", verify=False),
+    # matrix-identities draws its matrices from a numpy generator seeded by its own,
+    # which loads numpy.random. Test-only: the draws stay seeded and every check passes
+    # on them; the fresh-interpreter test in tests/test_verify.py owns it.
+    Mutant("verify-seeds-a-numpy-generator", "src/seqbell/verify.py",
+           "    real = [rng.gauss(0.0, 1.0) for _ in range(16)]\n"
+           "    imag = [rng.gauss(0.0, 1.0) for _ in range(16)]\n",
+           "    real, imag = np.random.default_rng(rng.getrandbits(32)).normal(size=(2, 16))\n",
+           verify=False),
     # The one probability check lets p up to 1.5 through. Test-only: no valid run
     # hands any boundary a bad probability, so no value verify sees changes.
     Mutant("loose-probability-check", "src/seqbell/qstate.py",
