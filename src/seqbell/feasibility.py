@@ -28,13 +28,17 @@ from .qstate import _SIN, PHI_MAX, check_p, check_phi
 from .scenario import (
     SCENARIOS,
     SQRT2,
-    VIOLATION_MARGIN,
     branch_arrays,
-    branch_values,
     check_kind,
     check_v,
+    genuine_branch_values,
     mix,
+    standard_branch_values,
 )
+
+# Values strictly above bound + VIOLATION_MARGIN count as violations, so
+# boundary classification is deterministic in floating point.
+VIOLATION_MARGIN = 1e-9
 
 
 def _window_sine(phi: float) -> float:
@@ -180,9 +184,12 @@ def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> Feasibili
     phi, p = _scan_samples(kind, phi_samples, p_samples, v)
     value1 = np.empty((phi.size, p.size))
     value2 = np.empty((phi.size, p.size))
-    # Per angle, not ``scan_blocks``: the benchmark tracer pins these per-angle calls.
+    # Per angle, not ``scan_blocks``: the benchmark tracer pins these per-angle calls, and
+    # wraps each name where this module holds it, so both are looked up here, per call.
     for i, ph in enumerate(phi):
-        value1[i, :], value2[i, :] = mix(branch_values(kind, ph, v), p)
+        branches = (standard_branch_values(ph) if kind == "standard"
+                    else genuine_branch_values(ph, v))
+        value1[i, :], value2[i, :] = mix(branches, p)
     return _classified(kind, phi, p, v, value1, value2)
 
 

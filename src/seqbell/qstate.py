@@ -99,33 +99,24 @@ def bloch_obs(nx, ny, nz) -> np.ndarray:
     return nx * _PAULI["x"] + ny * _PAULI["y"] + nz * _PAULI["z"]
 
 
-def check_effects(effects: EffectPair) -> EffectPair:
-    """Return ``(effect0, effect1)`` if both are 2x2 idempotent Hermitian and sum to I."""
-    effect0, effect1 = effects
-    for name, e in (("effect0", effect0), ("effect1", effect1)):
-        if e.shape[-2:] != (2, 2):
-            raise ValueError(f"{name} must be 2x2, got {e.shape}")
-        if not is_hermitian(e) or not is_idempotent(e):
-            raise ValueError(f"{name} is not an idempotent Hermitian effect")
-    if not np.abs(effect0 + effect1 - EYE2).max() <= DEFAULT_TOL:
-        raise ValueError("effects do not sum to the identity")
-    return effects
-
-
 def projective_from_observable(o: np.ndarray) -> EffectPair:
     """Spectral measurement of a +-1 observable ``o``: effects (I +- o)/2.
 
     ``o`` must be 2x2, or a stack (..., 2, 2), and square to the identity; this
     is the one check of a Charlie observable. +-I is allowed and gives the
-    degenerate pair (I, 0) or (0, I): the entries 1/2 +- 1/2 are exact.
+    degenerate pair (I, 0) or (0, I): the entries 1/2 +- 1/2 are exact. Given
+    o @ o = I, only the effects' Hermiticity can fail, as for [[1, 1], [0, -1]].
     """
     o = np.asarray(o, dtype=complex)
     if o.shape[-2:] != (2, 2):
         raise ValueError(f"observable must be 2x2, got {o.shape}")
     if not np.abs(o @ o - EYE2).max() <= DEFAULT_TOL:
         raise ValueError("observable does not square to the identity")
-    half = EYE2 / 2
-    return check_effects((half + o / 2, half - o / 2))
+    effects = EYE2 / 2 + o / 2, EYE2 / 2 - o / 2
+    for name, e in zip(("effect0", "effect1"), effects):
+        if not is_hermitian(e) or not is_idempotent(e):
+            raise ValueError(f"{name} is not an idempotent Hermitian effect")
+    return effects
 
 
 def identity_measurement() -> EffectPair:

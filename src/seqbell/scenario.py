@@ -28,10 +28,10 @@ and the simulated path must reproduce them to ~1e-10; that agreement is
 the central correctness check of the package. The simulation never
 evaluates them. Beside each closed form sits the p-window solved from it,
 the open range of p in which both values exceed the classical bound.
-One kernel simulates a 1-D array of angles (``branch_arrays``), bitwise as one angle at
-a time, and ``mix`` takes the p-mixture of its branches. The per-angle functions are its
-N = 1 calls, for the benchmark-pinned scan loop alone. Its operators are built and
-checked once per process, on first use, and registered with ``cmatrix.constant``, so
+One kernel simulates a 1-D array of angles (``branch_arrays``), bitwise as one angle at a
+time, and ``mix`` takes the p-mixture of its branches. The per-kind functions are its N = 1
+calls, for the benchmark-pinned loop in ``feasibility.scan`` alone. Its operators are built
+and checked once per process, on first use, and registered with ``cmatrix.constant``, so
 ``cmatrix.kron`` makes each of their Kronecker products once.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
 biases and then computes the three other branches once. It also makes strategy 2's four
@@ -67,10 +67,6 @@ from .qstate import (
 )
 
 SQRT2 = math.sqrt(2.0)
-
-# Values strictly above bound + VIOLATION_MARGIN count as violations, so
-# boundary classification is deterministic in floating point.
-VIOLATION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -167,6 +163,8 @@ def branch_arrays(kind: str, phi, v=None):
     settings1, settings2, measurements1, measurements2 = _operators(kind)
     phi = np.asarray(phi, dtype=float)
     rho = to_density(ghz(phi))
+    # Not folded into the sweep: that kept strategy 2's products alive while the values were
+    # computed (verify peaked at 38.5 MB, not 37.8) and skipped TestIndependence's luders_update.
     # q: strategy 2's z = 0 probability, as float: cheaper than np.float64 in the channel.
     if biases.ndim == 0:  # one channel call, as on every per-angle path
         q = 0.5 if v is None else float(v)
@@ -185,25 +183,13 @@ def branch_arrays(kind: str, phi, v=None):
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:
-    """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) at one phi; see ``branch_values``."""
+    """Simulated Mermin values (M1^s1, M2^s1, M1^s2, M2^s2) at one phi."""
     return tuple(float(x[0]) for x in branch_arrays("standard", [phi]))
 
 
 def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, float]:
-    """Simulated Svetlichny (S1^s1, S2^s1, S1^s2, S2^s2) at one (phi, v); see ``branch_values``."""
+    """Simulated Svetlichny values (S1^s1, S2^s1, S1^s2, S2^s2) at one (phi, v)."""
     return tuple(float(x[0]) for x in branch_arrays("genuine", [phi], v))
-
-
-def branch_values(kind: str, phi: float, v: float | None = None):
-    """Simulated (first1, second1, first2, second2) of the named scenario at one angle.
-
-    It and the two per-kind functions are called only by the loop in ``feasibility.scan``,
-    which the benchmark pins; ROADMAP item 1 unpins that loop, and all three go with it.
-    """
-    check_kind(kind, v)
-    if kind == "standard":
-        return standard_branch_values(phi)
-    return genuine_branch_values(phi, v)
 
 
 def mix(branches, p) -> tuple:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqbell.feasibility import (
+    VIOLATION_MARGIN,
     FeasibilityGrid,
     _classified,
     p_window_genuine,
@@ -18,7 +19,7 @@ from seqbell.feasibility import (
     v_threshold_genuine,
     window_membership,
 )
-from seqbell.scenario import SCENARIOS, VIOLATION_MARGIN, branch_arrays, mix
+from seqbell.scenario import SCENARIOS, branch_arrays, mix
 
 PI4 = math.pi / 4
 SQRT2 = math.sqrt(2.0)

@@ -162,6 +162,14 @@ def test_channels_that_do_not_line_up_with_the_states_raise(measurements, prob_z
         luders_update(to_density(ghz(np.array(phi))), measurements, prob_z0)
 
 
+@pytest.mark.parametrize("measurements", [(PROJ_X,), (PROJ_X, PROJ_Y, PROJ_X)])
+def test_one_effect_pair_per_input(measurements):
+    # One pair or three would fail later only as a numpy broadcast error.
+    message = f"^expected an effect pair per input, got {len(measurements)} pairs$"
+    with pytest.raises(ValueError, match=message):
+        luders_update(to_density(ghz(0.3)), measurements)
+
+
 def test_embed_third_lifts_each_member_of_a_stack():
     stack = np.stack([pauli("x"), pauli("y"), np.eye(2, dtype=complex)])
     assert embed_third(stack).tobytes() == np.stack([embed_third(e) for e in stack]).tobytes()

@@ -5,7 +5,6 @@ import pytest
 
 from seqbell.qstate import (
     PHI_MAX,
-    check_effects,
     check_p,
     check_phi,
     bloch_obs,
@@ -114,16 +113,14 @@ class TestStackGuards:
             with pytest.raises(ValueError, match="^observable does not square to the identity$"):
                 projective_from_observable(o)
 
-    def test_effects(self):
-        effect0, effect1 = projective_from_observable(bloch_obs(*self.AXES.T))
-        assert check_effects((effect0, effect1)) == (effect0, effect1)
-        effect0[2] = I2 / 2  # not a projector, though the pair still sums to I
-        effect1[2] = I2 / 2
-        with pytest.raises(ValueError, match="^effect0 is not an idempotent Hermitian effect$"):
-            check_effects((effect0, effect1))
-        effect0[2], effect1[2] = I2, I2
-        with pytest.raises(ValueError, match="^effects do not sum to the identity$"):
-            check_effects((effect0, effect1))
+    def test_involution_that_is_not_hermitian(self):
+        # It squares to I, and its "effects" are idempotent but oblique.
+        bad = np.array([[1, 1], [0, -1]], dtype=complex)
+        stack = bloch_obs(*self.AXES.T)
+        stack[1] = bad
+        for o in (stack, bad):
+            with pytest.raises(ValueError, match="^effect0 is not an idempotent Hermitian effect$"):
+                projective_from_observable(o)
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.5])
     def test_probability(self, bad):
@@ -224,11 +221,3 @@ class TestMeasurements:
         effect0, effect1 = identity_measurement()
         assert np.array_equal(effect1, np.zeros((2, 2)))
         assert np.array_equal(effect0 - effect1, I2)
-
-    def test_invalid_effects_rejected(self):
-        with pytest.raises(ValueError):
-            check_effects((0.5 * I2, 0.5 * I2))
-        with pytest.raises(ValueError):
-            check_effects((I2, I2))
-        with pytest.raises(ValueError, match="effect1 must be 2x2"):
-            check_effects((I2, np.zeros((4, 4))))

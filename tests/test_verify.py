@@ -134,13 +134,13 @@ def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
 
 
 def test_per_angle_scan_unlike_the_blocked_one_fails_standard_scan_consistency(monkeypatch):
-    real = feasibility.branch_values
+    real = feasibility.standard_branch_values
 
     def strategies_swapped(*args):
         first1, second1, first2, second2 = real(*args)
         return first2, second2, first1, second1
 
-    monkeypatch.setattr(feasibility, "branch_values", strategies_swapped)
+    monkeypatch.setattr(feasibility, "standard_branch_values", strategies_swapped)
     result = run_one(monkeypatch, "standard-scan-consistency")
     assert not result.passed
     # The swap mixes each cell as 1 - p would, so the per-angle rows differ off p = 1/2.

@@ -58,7 +58,7 @@ MUTANTS = (
            "luders_weigh(rho, products2, float(q))",
            "luders_weigh(rho, products2, float(biases[0]))", verify=True),
     # Values a hair below the bound count as violations.
-    Mutant("M2-negative-violation-margin", "src/seqbell/scenario.py",
+    Mutant("M2-negative-violation-margin", "src/seqbell/feasibility.py",
            "VIOLATION_MARGIN = 1e-9", "VIOLATION_MARGIN = -1e-9", verify=True),
     # Every cell counts as on the bound, so scan/window disagreements read 0 by construction.
     Mutant("M4-no-interior-cells", "src/seqbell/feasibility.py",
@@ -168,6 +168,20 @@ MUTANTS = (
            "    imag = [rng.gauss(0.0, 1.0) for _ in range(16)]\n",
            "    real, imag = np.random.default_rng(rng.getrandbits(32)).normal(size=(2, 16))\n",
            verify=False),
+    # A measurement's effects are checked for idempotency alone, so a non-Hermitian
+    # involution gives oblique "effects". Test-only: every observable a valid run
+    # builds is Hermitian; the non-Hermitian test in tests/test_qstate.py owns it.
+    Mutant("effects-skip-hermiticity", "src/seqbell/qstate.py",
+           "if not is_hermitian(e) or not is_idempotent(e):", "if not is_idempotent(e):",
+           verify=False),
+    # The channel takes any number of effect pairs, and one or three fail later as a
+    # broadcast error. Test-only: every valid run passes two; the pair-count test in
+    # tests/test_luders.py owns it.
+    Mutant("luders-skips-pair-count-guard", "src/seqbell/luders.py",
+           "    if len(measurements) != 2:\n"
+           "        raise ValueError(f\"expected an effect pair per input, got "
+           "{len(measurements)} pairs\")\n",
+           "", verify=False),
     # The one probability check lets p up to 1.5 through. Test-only: no valid run
     # hands any boundary a bad probability, so no value verify sees changes.
     Mutant("loose-probability-check", "src/seqbell/qstate.py",
