@@ -80,15 +80,14 @@ def grid_to_svg(grid: FeasibilityGrid) -> str:
     left, right, top, bottom = 70, 20, 24, 48
     plot_w = width - left - right
     plot_h = height - top - bottom
-    phi_max = PHI_MAX
 
     def sx(phi: float) -> float:
-        return left + phi / phi_max * plot_w
+        return left + phi / PHI_MAX * plot_w
 
     def sy(p: float) -> float:
         return top + (1.0 - p) * plot_h
 
-    phi_step = grid.phi[1] - grid.phi[0] if grid.phi.size > 1 else phi_max
+    phi_step = grid.phi[1] - grid.phi[0] if grid.phi.size > 1 else PHI_MAX
     p_step = grid.p[1] - grid.p[0] if grid.p.size > 1 else 1.0
 
     parts = [
@@ -121,7 +120,7 @@ def grid_to_svg(grid: FeasibilityGrid) -> str:
     # Closed-form window boundary curves.
     for end in (0, 1):  # lo, then hi
         points = []
-        for phi in np.linspace(phi_max / 400, phi_max, 400).tolist():
+        for phi in np.linspace(PHI_MAX / 400, PHI_MAX, 400).tolist():
             window = p_window_standard(phi) if grid.v is None else p_window_genuine(phi, grid.v)
             if not window[0] < window[1]:
                 continue
@@ -138,7 +137,7 @@ def grid_to_svg(grid: FeasibilityGrid) -> str:
         f'fill="none" stroke="black"/>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        phi = frac * phi_max
+        phi = frac * PHI_MAX
         x = sx(phi)
         parts.append(f'<line x1="{x:.2f}" y1="{top + plot_h}" '
                      f'x2="{x:.2f}" y2="{top + plot_h + 5}" stroke="black"/>')

@@ -23,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .bell import MERMIN_TERMS, SVETLICHNY_TERMS
+from .qstate import PHI_MAX
 from .scenario import branch_arrays
 
 BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
@@ -103,4 +104,4 @@ def quantum_witness_max(kind: str) -> float:
     bounds; not a proof of the quantum maximum. A genuine scenario gets the
     bias 0.5, on which its first value does not depend.
     """
-    return float(branch_arrays(kind, [np.pi / 4], 0.5 if kind == "genuine" else None)[0][0])
+    return float(branch_arrays(kind, [PHI_MAX], 0.5 if kind == "genuine" else None)[0][0])

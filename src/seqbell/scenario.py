@@ -34,9 +34,10 @@ calls, for the benchmark-pinned loop in ``feasibility.scan`` alone. Its operator
 and checked once per process, on first use, and registered with ``cmatrix.constant``, so
 ``cmatrix.kron`` makes each of their Kronecker products once.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
-biases and then computes the three other branches once. It also makes strategy 2's four
-channel products once (``luders_products``) and weighs them per bias (``luders_weigh``), one
-inequality evaluation per bias; each row is bitwise one bias alone.
+biases and computes the three other branches once. Strategy 2's four channel products are
+made once (``luders_products``), after strategy 1's channel has returned, and weighed per bias
+(``luders_weigh``), one inequality evaluation per bias; each row is bitwise one bias alone.
+A single bias is a sweep of one, and the standard scenario's draw weighs 0.5.
 """
 
 from __future__ import annotations
@@ -163,23 +164,16 @@ def branch_arrays(kind: str, phi, v=None):
     settings1, settings2, measurements1, measurements2 = _operators(kind)
     phi = np.asarray(phi, dtype=float)
     rho = to_density(ghz(phi))
-    # Not folded into the sweep: that kept strategy 2's products alive while the values were
-    # computed (verify peaked at 38.5 MB, not 37.8) and skipped TestIndependence's luders_update.
-    # q: strategy 2's z = 0 probability, as float: cheaper than np.float64 in the channel.
-    if biases.ndim == 0:  # one channel call, as on every per-angle path
-        q = 0.5 if v is None else float(v)
-        second2 = scenario.value(luders_update(rho, measurements2, q), settings1)
-    else:  # strategy 2's products made once, weighed once per bias: one row per bias
-        products2 = luders_products(rho, measurements2)
-        second2 = np.empty(biases.shape + phi.shape)
-        for k, q in enumerate(biases):
-            second2[k] = scenario.value(luders_weigh(rho, products2, float(q)), settings1)
-    return (
-        scenario.value(rho, settings1),
-        scenario.value(luders_update(rho, measurements1), settings1),
-        scenario.value(rho, settings2),
-        second2,
-    )
+    first1 = scenario.value(rho, settings1)
+    second1 = scenario.value(luders_update(rho, measurements1), settings1)
+    first2 = scenario.value(rho, settings2)
+    # Strategy 2's products last, alive for no other branch; weighed per bias, None as 0.5 and
+    # a scalar v as a sweep of one. float(q): cheaper than np.float64 in the channel.
+    products2 = luders_products(rho, measurements2)
+    second2 = np.empty(biases.shape + phi.shape)
+    for k, q in np.ndenumerate(np.asarray(0.5) if v is None else biases):
+        second2[k] = scenario.value(luders_weigh(rho, products2, float(q)), settings1)
+    return first1, second1, first2, second2
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:

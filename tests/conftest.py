@@ -1,6 +1,6 @@
 """Hypothesis profiles of the suite, the kernel's operators built before any test, a
-fixture that measures a call's traced memory peak, and one that empties the cache of
-LHV outcome tables around a test.
+fixture that measures a call's traced memory peak, one that empties the cache of LHV
+outcome tables around a test, and the environment of a child interpreter.
 
 ``probe`` runs every phase but shrinking and the explanation that follows it.
 A mutant fails a property test whether or not its failing example is shrunk,
@@ -8,11 +8,13 @@ so ``tools/mutants.py`` selects it with ``--hypothesis-profile probe``; any
 other run keeps Hypothesis's default profile.
 """
 
+import os
 import tracemalloc
 
 import pytest
 from hypothesis import Phase, settings
 
+import seqbell
 from seqbell.lhvbound import outcome_tables
 from seqbell.scenario import SCENARIOS, _operators
 
@@ -64,3 +66,14 @@ def fresh_outcome_tables():
     outcome_tables.cache_clear()
     yield
     outcome_tables.cache_clear()
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child that imports seqbell from the same place this process did.
+
+    ``PYTHONPATH`` with this checkout's ``src`` first, then whatever it held before.
+    """
+    src = os.path.dirname(os.path.dirname(seqbell.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

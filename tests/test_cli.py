@@ -24,13 +24,6 @@ def run_cli(args):
     return cli.main(args)
 
 
-def child_env():
-    """The environment of a child that imports seqbell from the same place this process did."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_scan_defaults_are_500_by_500():
     args = cli.build_parser().parse_args(["scan-standard", "--out", "x.csv"])
     assert args.grid_phi == 500 and args.grid_p == 500 and args.svg is None
@@ -142,7 +135,7 @@ class TestScanStandard:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
-    def test_output_to_stdouts_file_is_usage_error(self, tmp_path, flag):
+    def test_output_to_stdouts_file_is_usage_error(self, tmp_path, flag, child_env):
         # Replacing the file stdout is redirected to would send the summary to an
         # unlinked inode; --out names it as /dev/stdout, --svg by its own path.
         stdout = tmp_path / "stdout.txt"
@@ -153,7 +146,7 @@ class TestScanStandard:
             proc = subprocess.run(
                 [sys.executable, "-m", "seqbell.cli", "scan-standard", "--grid-phi", "4",
                  "--grid-p", "3", *args],
-                stdout=handle, stderr=subprocess.PIPE, text=True, timeout=60, env=child_env())
+                stdout=handle, stderr=subprocess.PIPE, text=True, timeout=60, env=child_env)
         assert proc.returncode == 2, proc.stderr
         assert "stdout" in proc.stderr
         assert stdout.read_text() == "before\n"
@@ -387,13 +380,14 @@ class TestOutputMemory:
 
 
 class TestScanGenuine:
-    def test_subnormal_bias_scan_and_svg_exit_zero_under_warnings_as_errors(self, tmp_path):
+    def test_subnormal_bias_scan_and_svg_exit_zero_under_warnings_as_errors(
+            self, tmp_path, child_env):
         # v * sin(2phi) underflows to 0, so the SVG's window upper ends must not divide by it.
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "seqbell.cli", "scan-genuine", "--v", "5e-324",
              "--grid-phi", "2", "--grid-p", "2", "--out", str(tmp_path / "g.csv"),
              "--svg", str(tmp_path / "g.svg")],
-            capture_output=True, text=True, timeout=60, env=child_env())
+            capture_output=True, text=True, timeout=60, env=child_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         ET.parse(tmp_path / "g.svg")
@@ -528,7 +522,7 @@ class TestBounds:
         assert seen.count("local_strategies") == 64
         assert seen.count("hybrid_strategies") == 3072
 
-    def test_import_enumerates_no_strategy(self):
+    def test_import_enumerates_no_strategy(self, child_env):
         # Both generators raise if called while the modules that cli loads are imported.
         code = ("import seqbell.lhvbound as lhvbound\n"
                 "def refuse():\n"
@@ -537,7 +531,7 @@ class TestBounds:
                 "import seqbell.cli\n"
                 "print(lhvbound.outcome_tables.cache_info().currsize)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60, env=child_env())
+                              timeout=60, env=child_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
 
@@ -579,10 +573,10 @@ class TestVerify:
             verify.run_checks(inject_failure="bogus")
 
 
-def test_full_verify_clean_exit():
+def test_full_verify_clean_exit(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "seqbell.cli", "verify"],
-        capture_output=True, text=True, timeout=600, env=child_env(),
+        capture_output=True, text=True, timeout=600, env=child_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import re
 import subprocess
 import sys
@@ -188,7 +187,9 @@ class TestIndependence:
     def test_identity_channel_changes_only_the_second_round(self, monkeypatch):
         for kind, v in self.CASES:
             real = branch_arrays(kind, [PI4], v)
+            # Both channel entry points branch_arrays uses: strategy 1's and strategy 2's.
             monkeypatch.setattr(scenario, "luders_update", lambda rho, *args: rho)
+            monkeypatch.setattr(scenario, "luders_weigh", lambda rho, *args: rho)
             idle = branch_arrays(kind, [PI4], v)
             monkeypatch.undo()
             changed = [not np.array_equal(a, b) for a, b in zip(real, idle)]
@@ -210,7 +211,7 @@ class TestIndependence:
 class TestOperators:
     """Each scenario's operators are built and checked once per process, on first use."""
 
-    def test_import_builds_no_operator(self):
+    def test_import_builds_no_operator(self, child_env):
         # A fresh interpreter in which every qstate constructor raises.
         code = (
             "import seqbell.qstate as q\n"
@@ -221,10 +222,8 @@ class TestOperators:
             "import seqbell.scenario\n"
             "assert seqbell.scenario._operators.cache_info().currsize == 0\n"
         )
-        src = os.path.dirname(os.path.dirname(scenario.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60, env={**os.environ, "PYTHONPATH": path})
+                              timeout=60, env=child_env)
         assert proc.returncode == 0, proc.stderr
 
     def test_two_angles_build_once(self, monkeypatch):

@@ -7,7 +7,6 @@ alone compares (``measured <= tol``, so NaN fails), injects and formats.
 import dataclasses
 import itertools
 import math
-import os
 import random
 import re
 import subprocess
@@ -210,30 +209,28 @@ def test_kron_memo_holds_the_48_kernel_products_after_a_registry_swap(monkeypatc
     assert len(cmatrix.kron_memo()) == 48
 
 
-def _fresh_interpreter(code: str) -> str:
-    """stdout of ``code`` run in a new interpreter that imports this checkout's seqbell."""
-    src = os.path.dirname(os.path.dirname(verify.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _fresh_interpreter(code: str, env: dict) -> str:
+    """stdout of ``code`` run in a new interpreter with the environment ``env``."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=600, env={**os.environ, "PYTHONPATH": path})
+                          timeout=600, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_checks_do_not_load_the_cli():
+def test_checks_do_not_load_the_cli(child_env):
     # cli imports verify; an import back would load cli.py a second time under -m.
     code = ("import sys\nimport seqbell.verify as verify\n"
             "verify.check_standard_scan_consistency()\n"
             "print('seqbell.cli' in sys.modules)\n")
-    assert _fresh_interpreter(code) == "False\n"
+    assert _fresh_interpreter(code, child_env) == "False\n"
 
 
-def test_checks_do_not_load_numpy_random():
+def test_checks_do_not_load_numpy_random(child_env):
     # Loading numpy.random (and secrets, hashlib, hmac with it) costs about 6 MB of RSS.
     code = ("import sys\nimport seqbell.verify as verify\n"
             "assert all(result.passed for result in verify.run_checks())\n"
             "print('numpy.random' in sys.modules)\n")
-    assert _fresh_interpreter(code) == "False\n"
+    assert _fresh_interpreter(code, child_env) == "False\n"
 
 
 def test_seeded_checks_leave_the_global_generator_and_repeat_their_draws():
@@ -277,7 +274,8 @@ def test_channel_properties_update_members_in_blocks(traced_peak):
 
 def test_mixture_closed_form_genuine_keeps_one_set_of_products(traced_peak):
     # Measured in MiB: 2.18 with the channel rebuilt per bias, 3.09 with strategy 2's
-    # products made once for the 20-bias sweep and weighed one bias at a time.
+    # products made once for the 20-bias sweep and weighed one bias at a time, and 2.81
+    # with those products made only after strategy 1's channel has returned.
     _, peak = traced_peak(verify.check_mixture_closed_form_genuine)
     assert peak <= 4 << 20
 

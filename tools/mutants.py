@@ -47,16 +47,17 @@ class Mutant:
 
 
 MUTANTS = (
-    # The simulated path "optimised" into the closed form it is checked against.
-    # Test-only: the closed form equals the simulation, so no value verify sees
-    # changes; TestIndependence owns it.
+    # The simulated path "optimised" into the closed form it is checked against, for every
+    # bias, a scalar v and the standard scenario's None included. Test-only: the closed form
+    # equals the simulation, so no value verify sees changes; TestIndependence owns it.
     Mutant("M1-second2-from-closed-form", "src/seqbell/scenario.py",
            "second2[k] = scenario.value(luders_weigh(rho, products2, float(q)), settings1)",
            "second2[k] = scenario.closed(np.sin(2 * phi), 0, q)[1]", verify=False),
-    # Every row of a bias array weighed at its first bias.
+    # Every row of a bias array weighed at its first bias; a sweep of one, whose index k is
+    # (), keeps its own.
     Mutant("bias-rows-reuse-first-bias", "src/seqbell/scenario.py",
            "luders_weigh(rho, products2, float(q))",
-           "luders_weigh(rho, products2, float(biases[0]))", verify=True),
+           "luders_weigh(rho, products2, float(biases.flat[0] if k else q))", verify=True),
     # Values a hair below the bound count as violations.
     Mutant("M2-negative-violation-margin", "src/seqbell/feasibility.py",
            "VIOLATION_MARGIN = 1e-9", "VIOLATION_MARGIN = -1e-9", verify=True),
