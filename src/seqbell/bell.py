@@ -1,15 +1,15 @@
 """Tripartite correlators and the Mermin / Svetlichny inequality values.
 
-A setting is six +-1 observables, one per party and input:
-``((A0, A1), (B0, B1), (C0, C1))``, each a 2x2 array that squares to the
-identity (the identity itself allowed). The two inequalities are fixed
-sign combinations of correlators <A_x B_y C_z>. Their coefficient tables
-live here so that the quantum evaluation (this module) and the
-classical-bound enumeration share a single definition of each expression.
+A setting is six +-1 observables ``((A0, A1), (B0, B1), (C0, C1))``, one per party and input,
+each a 2x2 array that squares to the identity, the identity included. The inequalities are fixed
+sign combinations of correlators <A_x B_y C_z>; ``lhvbound`` shares their coefficient tables.
 
-A state ``rho`` may carry leading batch axes (..., 8, 8). ``expectation``
-takes K correlators at once and returns shape (..., K); the inequality
-values have the batch shape. The imaginary-residue guard reduces over both.
+A state ``rho`` may carry leading batch axes (..., 8, 8). ``expectation`` takes K correlators at
+once and returns shape (..., K); the inequality values have the batch shape, and the
+imaginary-residue guard reduces over both. Each correlator contracts the diagonal entries sum_j
+rho_ij O_ji of rho O alone, with no (..., K, 8, 8) product, then adds them with the ``.sum``
+that ``trace`` ran. The bits are the full product's only when each operator row has one nonzero
+entry, as in every scenario setting; dense operators differ by rounding.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def expectation(rho: np.ndarray, a, b, c):
     Raises on an imaginary residue in any correlator of any batch member.
     """
     ops = np.array([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
-    value = (rho[..., None, :, :] @ ops).trace(axis1=-2, axis2=-1)
+    value = np.einsum("...ij,kji->...ki", rho, ops).sum(axis=-1)
     residue = np.abs(value.imag).max()
     if not residue <= _IMAG_TOL:
         raise RuntimeError(

@@ -85,6 +85,52 @@ class TestExpectation:
         with pytest.raises(RuntimeError):
             correlator(rho, 1j * SX, SX, SX)
 
+    def test_y_on_qubit_c_of_its_eigenstate_reads_plus_one(self):
+        # (|000> + i|001>)/sqrt2 is qubit C's +1 eigenstate of Y; Tr(rho O^T) reads -1.
+        rho = to_density(np.array([1, 1j, 0, 0, 0, 0, 0, 0]) / SQRT2)
+        assert correlator(rho, I2, I2, SY) == pytest.approx(1.0, abs=1e-15)
+
+    def test_matches_oracle_on_a_complex_state(self):
+        # rho is not symmetric, so the oracle tells Tr(rho O) from Tr(rho O^T).
+        rho = random_states(np.random.default_rng(33), 1)[0]
+        assert np.max(np.abs(rho - rho.T)) > 0.1
+        for obs in [(SX, SY, SY), (I2, SY, pauli("z")), (SY, I2, SX)]:
+            oracle = brute_expectation(rho, *obs)
+            assert abs(oracle.imag) < 1e-14
+            assert correlator(rho, *obs) == pytest.approx(oracle.real, abs=1e-14)
+
+
+def random_states(rng, n):
+    """``n`` random complex pure states as a stack of densities."""
+    psi = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
+    return to_density(psi / np.linalg.norm(psi, axis=-1, keepdims=True))
+
+
+def random_observables(rng, n):
+    """``n`` observables n . sigma along random unit Bloch vectors: no entry is zero."""
+    axes = rng.normal(size=(n, 3))
+    return list(bloch_obs(*(axes / np.linalg.norm(axes, axis=-1, keepdims=True)).T))
+
+
+class TestDenseOperators:
+    """Rows with two nonzero entries: the sum differs from the full product's only in rounding."""
+
+    def test_stack_equals_one_call_per_member_and_correlator(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            rho = random_states(rng, 5)
+            a, b, c = (random_observables(rng, 8) for _ in range(3))
+            stacked = expectation(rho, a, b, c)
+            singles = [[correlator(r, *obs) for obs in zip(a, b, c)] for r in rho]
+            assert np.array_equal(stacked.view(np.uint64), np.array(singles).view(np.uint64))
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            rho = random_states(rng, 1)[0]
+            obs = [random_observables(rng, 1)[0] for _ in range(3)]
+            assert abs(correlator(rho, *obs) - brute_expectation(rho, *obs).real) <= 1e-14
+
 
 class TestStackedCorrelators:
     """A stack of K correlators is bitwise K separate ones, and is guarded as a whole."""
@@ -110,6 +156,12 @@ class TestStackedCorrelators:
     def test_unequal_lengths_raise(self):
         with pytest.raises(ValueError):
             expectation(to_density(ghz(0.3)), [SX, SY], [SX, SY], [SX])
+
+    def test_svetlichny_of_many_states_makes_no_full_products(self, traced_peak):
+        # Measured in MiB: 0.56 on 500 GHZ states, and 3.98 with the (N, 8, 8, 8) products.
+        rho = to_density(ghz(np.linspace(0.0, math.pi / 4, 500)))
+        _, peak = traced_peak(svetlichny_value, rho, genuine_settings(-SY, SX))
+        assert peak <= 1 << 20
 
     def test_residue_guard_reads_the_last_correlator(self):
         rho = to_density(ghz(math.pi / 4))

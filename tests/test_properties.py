@@ -1,7 +1,8 @@
 """Property tests: invariants of the channel, the correlators, the batch kernel
 and the CSV number format, the kernel's two stacked reductions against the
-loops they replaced, the p-windows against the clamped formulas they replaced,
-and the blocked scan against the per-angle one.
+loops they replaced, the correlators against the full-product trace they
+replaced, the p-windows against the clamped formulas they replaced, and the
+blocked scan against the per-angle one.
 
 Hypothesis draws pure three-qubit states, one measurement per input (a
 projective measurement along a unit Bloch vector, or the identity),
@@ -10,6 +11,7 @@ prob_z0 in [0, 1], both ends included, and arrays of state angles in
 example database, so they are reproducible and leave no files behind.
 """
 
+import itertools
 import math
 from unittest.mock import patch
 
@@ -25,6 +27,7 @@ from seqbell.bell import (
     mermin_value,
     svetlichny_value,
 )
+from seqbell.cmatrix import kron
 from seqbell.feasibility import _fmt, p_window_genuine, p_window_standard, scan, scan_blocks
 from seqbell.luders import embed_third, luders_products, luders_update, luders_weigh
 from seqbell.qstate import (
@@ -37,7 +40,13 @@ from seqbell.qstate import (
     projective_from_observable,
     to_density,
 )
-from seqbell.scenario import branch_arrays, genuine_branch_values, standard_branch_values
+from seqbell.scenario import (
+    SCENARIOS,
+    _operators,
+    branch_arrays,
+    genuine_branch_values,
+    standard_branch_values,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -268,6 +277,30 @@ def test_products_weighed_per_bias_are_the_effect_by_effect_loop(rho, measuremen
     for q in biases:
         assert_same_bits(luders_weigh(rho, products, float(q)),
                          reference_luders_update(rho, measurements, float(q)))
+
+
+def reference_expectation(rho, a, b, c):
+    """The full-product trace that ``bell.expectation`` replaced, kept as the reference."""
+    ops = np.array([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
+    return (rho[..., None, :, :] @ ops).trace(axis1=-2, axis2=-1).real
+
+
+# A state stack after up to two channels, each one of the scenario's two strategies at its
+# own bias, and every correlator of one of its two settings. Each operator row has one
+# nonzero entry, so each diagonal entry of rho O is one product and exact zeros, whichever
+# way they are added, and both sum the diagonal with the same length-8 ``.sum``; a one-step
+# ``"...ij,kji->...k"`` contraction adds the diagonal in another order and fails here.
+@PROPERTY
+@given(st.sampled_from(sorted(SCENARIOS)), rho_batches,
+       st.lists(st.tuples(st.booleans(), prob_z0s), max_size=2), st.booleans())
+def test_correlators_are_the_full_product_trace(kind, rho, channels, second_settings):
+    settings1, settings2, measurements1, measurements2 = _operators(kind)
+    for second_strategy, q in channels:
+        rho = luders_update(rho, measurements2 if second_strategy else measurements1, q)
+    a, b, c = zip(*itertools.product(*(settings2 if second_settings else settings1)))
+    got, want = expectation(rho, a, b, c), reference_expectation(rho, a, b, c)
+    assert got.shape == want.shape == rho.shape[:-2] + (8,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # A member of a stack: its own state (pure, or GHZ-class with many exact zeros), its

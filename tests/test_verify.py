@@ -274,8 +274,9 @@ def test_channel_properties_update_members_in_blocks(traced_peak):
 
 def test_mixture_closed_form_genuine_keeps_one_set_of_products(traced_peak):
     # Measured in MiB: 2.18 with the channel rebuilt per bias, 3.09 with strategy 2's
-    # products made once for the 20-bias sweep and weighed one bias at a time, and 2.81
-    # with those products made only after strategy 1's channel has returned.
+    # products made once for the 20-bias sweep and weighed one bias at a time, 2.85 with
+    # those products made only after strategy 1's channel has returned, and 2.36 with each
+    # correlator summed from the diagonal of rho O, no full product made.
     _, peak = traced_peak(verify.check_mixture_closed_form_genuine)
     assert peak <= 4 << 20
 

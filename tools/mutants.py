@@ -137,6 +137,13 @@ MUTANTS = (
     # never fires in verify; the last-correlator test in tests/test_bell.py owns it.
     Mutant("residue-guard-first-correlator", "src/seqbell/bell.py",
            "np.abs(value.imag).max()", "np.abs(value.imag[..., 0]).max()", verify=False),
+    # Each correlator is Tr(rho O^T): the operator convention, one subscript string,
+    # transposed. Test-only until a referee checks the kernel on random settings: verify
+    # evaluates correlators only on GHZ states and their images under the paper's X, Y
+    # and identity channels, all real, where Tr(rho O^T) = Tr(rho O); the complex-state
+    # anchors in tests/test_bell.py own it.
+    Mutant("transposed-correlator-operator", "src/seqbell/bell.py",
+           '"...ij,kji->...ki"', '"...ij,kij->...ki"', verify=False),
     # The channel adds its weighted products last effect first, and an inequality
     # whose terms are all -0.0 reads -0.0. Test-only: both change only rounding
     # or a zero's sign, which no check's tolerance sees; the bitwise tests against
