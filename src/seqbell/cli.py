@@ -37,7 +37,7 @@ from .lhvbound import (
     svetlichny_classical_max,
 )
 from .qstate import PHI_MAX
-from .scenario import SCENARIOS, check_v
+from .scenario import SCENARIOS, check_kind
 from .verify import check_names, run_checks
 
 USAGE_ERROR = 2
@@ -221,7 +221,7 @@ def _positive_grid(value: str) -> int:
 def _bias(value: str) -> float:
     try:
         v = float(value)
-        check_v(v)
+        check_kind("genuine", v)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return v

@@ -6,7 +6,8 @@ mixture values:
   standard:  1/sin(2phi) - 1       < p < 3 - 2/sin(2phi)
   genuine:   sqrt2/sin(2phi) - 1   < p < 1 - (sqrt2/sin(2phi) - 1)/v
 
-each ``SCENARIOS[kind].window``, a ``(lo, hi)`` tuple, empty when ``not lo < hi``.
+each ``SCENARIOS[kind].window``, a ``(lo, hi)`` tuple, empty when ``not lo < hi``,
+evaluated by ``window``. At phi = 0 both values are 0 and the window is (+inf, -inf).
 sin(2phi) <= 1 keeps both ends in [0, 1] unclamped (the genuine lo is positive, so
 its hi is below 1). Solving "window nonempty" for the state angle gives the thresholds
 
@@ -30,7 +31,6 @@ from .scenario import (
     SQRT2,
     branch_arrays,
     check_kind,
-    check_v,
     genuine_branch_values,
     mix,
     standard_branch_values,
@@ -41,17 +41,18 @@ from .scenario import (
 VIOLATION_MARGIN = 1e-9
 
 
-def _window_sine(phi: float) -> float:
-    """sin(2 phi) for a window angle; no window is defined at phi = 0."""
+def window(kind: str, phi, v: float | None = None):
+    """The p-window (lo, hi) at one angle or an array of them; libm's sin 2phi per angle."""
     check_phi(phi)
-    if phi == 0.0:
-        raise ValueError(f"phi={phi} outside (0, pi/4]")
-    return math.sin(2 * phi)
+    check_kind(kind, v)
+    s = np.asarray(_SIN(np.multiply(2.0, phi)), dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return SCENARIOS[kind].window(s, v)
 
 
 def p_window_standard(phi: float) -> tuple[float, float]:
     """Mixing probabilities (lo, hi) giving M1 > 2 and M2 > 2 simultaneously."""
-    return SCENARIOS["standard"].window(_window_sine(phi), None)
+    return window("standard", phi)
 
 
 def phi_threshold_standard() -> float:
@@ -61,9 +62,7 @@ def phi_threshold_standard() -> float:
 
 def p_window_genuine(phi: float, v: float) -> tuple[float, float]:
     """Mixing probabilities (lo, hi) giving S1 > 4 and S2 > 4 simultaneously."""
-    s = _window_sine(phi)
-    check_v(v)
-    return SCENARIOS["genuine"].window(s, v)
+    return window("genuine", phi, v)
 
 
 def v_threshold_genuine() -> float:
@@ -206,14 +205,9 @@ def scan_blocks(kind: str, phi_samples, p_samples, v: float | None = None) -> Fe
 
 
 def window_membership(grid: FeasibilityGrid) -> np.ndarray:
-    """Closed-form window membership for every grid cell, each row's ends bitwise ``p_window_*``.
-
-    libm's sin per angle, as ``ghz`` takes it; phi = 0 gives lo = +inf, outside every window.
-    """
-    s = _SIN(2 * grid.phi).astype(float)[:, None]
-    with np.errstate(divide="ignore", over="ignore"):
-        lo, hi = SCENARIOS[grid.kind].window(s, grid.v)
-    return (lo < grid.p) & (grid.p < hi)
+    """Closed-form window membership for every grid cell, by one ``window`` call."""
+    lo, hi = window(grid.kind, grid.phi, grid.v)
+    return (lo[:, None] < grid.p) & (grid.p < hi[:, None])
 
 
 def scan_window_disagreements(grid: FeasibilityGrid) -> tuple[int, int]:

@@ -111,21 +111,16 @@ SCENARIOS = {
 }
 
 
-def check_v(v: float) -> None:
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v={v} outside (0, 1)")
-
-
 def check_kind(kind: str, v: float | None) -> None:
-    """Reject an unknown kind, a genuine scenario without v, or a standard one with v."""
+    """Reject an unknown kind, a standard scenario with v, or a genuine one without v in (0, 1)."""
     if kind not in SCENARIOS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     if kind == "standard" and v is not None:
         raise ValueError("v is not a parameter of the standard scenario")
-    if kind == "genuine":
-        if v is None:
-            raise ValueError("the genuine scenario requires v")
-        check_v(v)
+    if kind == "genuine" and v is None:
+        raise ValueError("the genuine scenario requires v")
+    if kind == "genuine" and not 0.0 < v < 1.0:
+        raise ValueError(f"v={v} outside (0, 1)")
 
 
 def _charlie(pair):

@@ -90,6 +90,12 @@ class TestExpectation:
         rho = to_density(np.array([1, 1j, 0, 0, 0, 0, 0, 0]) / SQRT2)
         assert correlator(rho, I2, I2, SY) == pytest.approx(1.0, abs=1e-15)
 
+    def test_qubit_a_is_the_most_significant_bit(self):
+        # |001> is index 1: qubits A and B read |0>, qubit C reads |1>.
+        rho = to_density(np.eye(8)[1])
+        assert correlator(rho, pauli("z"), I2, I2) == 1.0
+        assert correlator(rho, I2, I2, pauli("z")) == -1.0
+
     def test_matches_oracle_on_a_complex_state(self):
         # rho is not symmetric, so the oracle tells Tr(rho O) from Tr(rho O^T).
         rho = random_states(np.random.default_rng(33), 1)[0]

@@ -45,9 +45,9 @@ class TestStandardWindow:
         assert empty(p_window_standard(0.424))
         assert empty(p_window_standard(0.3))
 
-    def test_rejects_zero_angle(self):
-        with pytest.raises(ValueError):
-            p_window_standard(0.0)
+    def test_zero_angle_gives_the_empty_window(self):
+        # Both Mermin values are 0 at phi = 0, so no p violates.
+        assert p_window_standard(0.0) == (math.inf, -math.inf)
 
     def test_threshold_value(self):
         t = phi_threshold_standard()
@@ -92,8 +92,8 @@ class TestGenuineWindow:
             assert not math.isnan(lo) and not math.isnan(hi)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(ValueError):
-            p_window_genuine(0.0, 0.8)
+        # phi = 0 is in the domain, where the window is empty; v = 1 is not.
+        assert p_window_genuine(0.0, 0.8) == (math.inf, -math.inf)
         with pytest.raises(ValueError):
             p_window_genuine(0.5, 1.0)
 
@@ -137,8 +137,6 @@ def reference_membership(grid):
     """The per-angle loop that ``window_membership`` replaced, kept as the reference."""
     inside = np.zeros(grid.value1.shape, dtype=bool)
     for i, phi in enumerate(grid.phi):
-        if phi == 0.0:
-            continue
         lo, hi = (p_window_standard(float(phi)) if grid.v is None
                   else p_window_genuine(float(phi), grid.v))
         inside[i, :] = (lo < grid.p) & (grid.p < hi)

@@ -12,7 +12,7 @@ from seqbell.qstate import check_p
 from seqbell.scenario import (
     SCENARIOS,
     branch_arrays,
-    check_v,
+    check_kind,
     genuine_branch_values,
     mix,
     standard_branch_values,
@@ -129,13 +129,13 @@ class TestValidation:
     def test_check_p_and_v(self):
         check_p(0.0)
         check_p(1.0)
-        check_v(0.5)
+        check_kind("genuine", 0.5)
         for bad_p in (1.5, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 check_p(bad_p)
         for bad_v in (0.0, 1.0, math.nan, -math.inf):
             with pytest.raises(ValueError):
-                check_v(bad_v)
+                check_kind("genuine", bad_v)
 
     def test_branch_value_count(self):
         assert len(standard_branch_values(0.5)) == 4

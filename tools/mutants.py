@@ -144,6 +144,12 @@ MUTANTS = (
     # anchors in tests/test_bell.py own it.
     Mutant("transposed-correlator-operator", "src/seqbell/bell.py",
            '"...ij,kji->...ki"', '"...ij,kij->...ki"', verify=False),
+    # Each correlator's operator is C (x) B (x) A: the party order, reversed. Test-only
+    # until a referee checks the kernel on random settings: GHZ states are symmetric
+    # under swapping A and C, and all 17 checks pass under it; the qubit-order anchor
+    # and the oracle tests in tests/test_bell.py own it.
+    Mutant("reversed-party-order", "src/seqbell/bell.py",
+           "kron(kron(ak, bk), ck)", "kron(kron(ck, bk), ak)", verify=False),
     # The channel adds its weighted products last effect first, and an inequality
     # whose terms are all -0.0 reads -0.0. Test-only: both change only rounding
     # or a zero's sign, which no check's tolerance sees; the bitwise tests against
