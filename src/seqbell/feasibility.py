@@ -177,8 +177,8 @@ def _classified(kind: str, phi, p, v, value1, value2) -> FeasibilityGrid:
 def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> FeasibilityGrid:
     """Simulate every (phi, p) cell and flag the double violations, one angle at a time.
 
-    Each row is bitwise ``mix(branch_arrays(kind, [phi], v), p)`` at its angle: the
-    per-phi branch values are computed once and mixed by the same ``scenario.mix``.
+    Each row is bitwise the row of ``mix(branch_arrays(kind, phi, v), p)`` at its angle:
+    ``scenario.mix`` mixes that angle's four branch floats into the row.
     """
     phi, p = _scan_samples(kind, phi_samples, p_samples, v)
     value1 = np.empty((phi.size, p.size))
@@ -199,8 +199,7 @@ def scan_blocks(kind: str, phi_samples, p_samples, v: float | None = None) -> Fe
     value2 = np.empty((phi.size, p.size))
     for k in range(0, phi.size, _SCAN_BLOCK):
         rows = slice(k, k + _SCAN_BLOCK)
-        branches = branch_arrays(kind, phi[rows], v)
-        value1[rows], value2[rows] = mix([x[:, None] for x in branches], p)
+        value1[rows], value2[rows] = mix(branch_arrays(kind, phi[rows], v), p)
     return _classified(kind, phi, p, v, value1, value2)
 
 

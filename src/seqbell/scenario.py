@@ -29,10 +29,10 @@ the central correctness check of the package. The simulation never
 evaluates them. Beside each closed form sits the p-window solved from it,
 the open range of p in which both values exceed the classical bound.
 One kernel simulates a 1-D array of angles (``branch_arrays``), bitwise as one angle at a
-time, and ``mix`` takes the p-mixture of its branches. The per-kind functions are its N = 1
-calls, for the benchmark-pinned loop in ``feasibility.scan`` alone. Its operators are built
-and checked once per process, on first use, and registered with ``cmatrix.constant``, so
-``cmatrix.kron`` makes each of their Kronecker products once.
+time; the per-kind functions are its N = 1 calls, for the benchmark-pinned loop in
+``feasibility.scan`` alone. Its operators are built and checked once per process, on first
+use, and registered with ``cmatrix.constant``, so ``cmatrix.kron`` makes each of their
+Kronecker products once. ``mix`` takes every p-mixture, on the branches' (angle, p) grid.
 Only S2 under strategy 2 depends on v, so the genuine kernel also takes a 1-D array of
 biases and computes the three other branches once. Strategy 2's four channel products are
 made once (``luders_products``), after strategy 1's channel has returned, and weighed per bias
@@ -184,8 +184,9 @@ def genuine_branch_values(phi: float, v: float) -> tuple[float, float, float, fl
 def mix(branches, p) -> tuple:
     """(value1, value2) of the strategy mixture: strategy 1 with probability p.
 
-    ``branches`` is (first1, second1, first2, second2) as ``branch_arrays`` returns it;
-    p may be a float or an array. Every simulated mixed value is mixed here.
+    ``branches`` is (first1, second1, first2, second2) as ``branch_arrays`` returns it, p a float
+    or an array; each value has its branch's shape, then p's: N angles and M p's give (N, M).
     """
     first1, second1, first2, second2 = branches
-    return p * first1 + (1 - p) * first2, p * second1 + (1 - p) * second2
+    outer, q = np.multiply.outer, 1 - p
+    return outer(first1, p) + outer(first2, q), outer(second1, p) + outer(second2, q)

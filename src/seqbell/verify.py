@@ -51,6 +51,7 @@ from .lhvbound import (
 )
 from .luders import embed_third, luders_update
 from .qstate import (
+    _SIN,
     PHI_MAX,
     bloch_obs,
     ghz,
@@ -71,7 +72,7 @@ INJECTION_BUMP = 1e-3
 
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 200)
 _P_GRID = np.linspace(0.0, 1.0, 200)
-_SIN2 = np.array([math.sin(2 * phi) for phi in _PHI_GRID])
+_SIN2 = _SIN(2 * _PHI_GRID).astype(float)
 
 Measurement = tuple[str, float, float]
 
@@ -214,24 +215,23 @@ def check_svetlichny_branch_values() -> list[Measurement]:
     return [("max deviation", dev, 1e-10)]
 
 
+def _mixture_deviation(kind: str, v) -> float:
+    """Worst deviation of both mixed values from their closed forms, one bias row at a time."""
+    *common, second2 = branch_arrays(kind, _PHI_GRID, v)
+    biases, dev = np.atleast_1d(v), 0.0  # the standard scenario's None: a sweep of one
+    for bias, row in zip(biases, second2.reshape(biases.size, -1)):
+        sim1, sim2 = mix((*common, row), _P_GRID)
+        closed1, closed2 = SCENARIOS[kind].closed(_SIN2[:, None], _P_GRID, bias)
+        dev = _worst(dev, np.abs(sim1 - closed1), np.abs(sim2 - closed2))
+    return dev
+
+
 def check_mixture_closed_form_standard() -> list[Measurement]:
-    # Every mixture over _PHI_GRID x _P_GRID against its closed form.
-    sim1, sim2 = mix([x[:, None] for x in branch_arrays("standard", _PHI_GRID)], _P_GRID)
-    closed1, closed2 = SCENARIOS["standard"].closed(_SIN2[:, None], _P_GRID, None)
-    dev = _worst(np.abs(sim1 - closed1), np.abs(sim2 - closed2))
-    return [("max deviation on a 200x200 grid", dev, 1e-10)]
+    return [("max deviation on a 200x200 grid", _mixture_deviation("standard", None), 1e-10)]
 
 
 def check_mixture_closed_form_genuine() -> list[Measurement]:
-    v = np.arange(1, 21) / 21
-    *common, second2 = branch_arrays("genuine", _PHI_GRID, v)
-    closed = SCENARIOS["genuine"].closed
-    dev = 0.0
-    for b, row in zip(v, second2):
-        sim1, sim2 = mix([x[:, None] for x in (*common, row)], _P_GRID)
-        dev = _worst(dev, np.abs(sim2 - closed(_SIN2[:, None], _P_GRID, b)[1]))
-    # value1 does not depend on the bias: compared once, on the last slice's mixture.
-    dev = _worst(dev, np.abs(sim1 - closed(_SIN2[:, None], _P_GRID, b)[0]))
+    dev = _mixture_deviation("genuine", np.arange(1, 21) / 21)
     return [("max deviation on 20 bias slices", dev, 1e-10)]
 
 

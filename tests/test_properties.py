@@ -1,8 +1,9 @@
 """Property tests: invariants of the channel, the correlators, the batch kernel
-and the CSV number format, the kernel's two stacked reductions against the
-loops they replaced, the correlators against the full-product trace they
-replaced, the p-windows against the clamped formulas they replaced, and the
-blocked scan against the per-angle one.
+and the CSV number format, ``mix``'s grid against each angle mixed alone, the
+kernel's two stacked reductions against the loops they replaced, the
+correlators against the full-product trace they replaced, the p-windows
+against the clamped formulas they replaced, and the blocked scan against the
+per-angle one.
 
 Hypothesis draws pure three-qubit states, one measurement per input (a
 projective measurement along a unit Bloch vector, or the identity),
@@ -45,6 +46,7 @@ from seqbell.scenario import (
     _operators,
     branch_arrays,
     genuine_branch_values,
+    mix,
     standard_branch_values,
 )
 
@@ -134,6 +136,30 @@ def test_batch_element_equals_single_angle_call(phi, v):
     for i, ph in enumerate(phi):
         assert _hex(x[i] for x in standard) == _hex(standard_branch_values(ph))
         assert _hex(x[i] for x in genuine) == _hex(genuine_branch_values(ph, v))
+
+
+def reference_mix(branches, p):
+    """``scenario.mix`` as it was before it formed the (angle, p) grid: broadcasting alone."""
+    first1, second1, first2, second2 = branches
+    return p * first1 + (1 - p) * first2, p * second1 + (1 - p) * second2
+
+
+# N angles' branch values with a (B, N) bias sweep for second2, and M p's in [0, 1], both
+# ends drawn explicitly; N and M differ in most examples.
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 4),
+       st.lists(prob_z0s, min_size=1, max_size=6).map(np.array), st.data())
+def test_mix_forms_the_grid_of_each_angle_mixed_alone(n, b, p, data):
+    row = st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n).map(np.array)
+    first1, second1, first2 = data.draw(st.tuples(row, row, row))
+    second2 = np.array(data.draw(st.lists(row, min_size=b, max_size=b)))
+    value1, value2 = mix((first1, second1, first2, second2), p)
+    assert value1.shape == (n, p.size) and value2.shape == (b, n, p.size)
+    for i in range(n):
+        floats = float(first1[i]), float(second1[i]), float(first2[i])
+        assert_same_bits(value1[i], reference_mix((*floats, 0.0), p)[0])
+        for k in range(b):
+            assert_same_bits(value2[k, i], reference_mix((*floats, float(second2[k, i])), p)[1])
 
 
 @PROPERTY

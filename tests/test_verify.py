@@ -29,7 +29,7 @@ from seqbell.qstate import (
     projective_from_observable,
     to_density,
 )
-from seqbell.scenario import SCENARIOS, branch_arrays, mix
+from seqbell.scenario import SCENARIOS, branch_arrays
 
 
 def fake(*measurements):
@@ -281,14 +281,20 @@ def test_mixture_closed_form_genuine_keeps_one_set_of_products(traced_peak):
     assert peak <= 4 << 20
 
 
-def test_mixture_closed_form_genuine_equals_the_per_bias_loop():
+@pytest.mark.parametrize("kind, biases", [("standard", [None]),
+                                          ("genuine", (np.arange(1, 21) / 21).tolist())],
+                         ids=["standard", "genuine"])
+def test_mixture_closed_form_equals_the_per_bias_loop(kind, biases):
+    # Each bias alone, mixed as ``mix`` once did: p * first + (1 - p) * second on columns.
     phi = np.linspace(0.0, PHI_MAX, 200)
     sin2 = np.array([math.sin(2 * x) for x in phi])
     p = np.linspace(0.0, 1.0, 200)
     dev = 0.0
-    for v in np.arange(1, 21) / 21:
-        sim1, sim2 = mix([x[:, None] for x in branch_arrays("genuine", phi, float(v))], p)
-        closed1, closed2 = SCENARIOS["genuine"].closed(sin2[:, None], p, float(v))
+    for v in biases:
+        first1, second1, first2, second2 = (x[:, None] for x in branch_arrays(kind, phi, v))
+        sim1, sim2 = p * first1 + (1 - p) * first2, p * second1 + (1 - p) * second2
+        closed1, closed2 = SCENARIOS[kind].closed(sin2[:, None], p, v)
         dev = max(dev, float(np.max(np.abs(sim1 - closed1))),
                   float(np.max(np.abs(sim2 - closed2))))
-    assert [m for _, m, _ in verify.check_mixture_closed_form_genuine()] == [dev]
+    check = getattr(verify, f"check_mixture_closed_form_{kind}")
+    assert [m for _, m, _ in check()] == [dev]

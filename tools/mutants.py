@@ -102,9 +102,15 @@ MUTANTS = (
            "window=lambda s, v: (SQRT2 / s - 1, 1 - (SQRT2 / s - 1) / v),",
            "window=lambda s, v: (SQRT2 / s - 1 + 5e-2 * (1 - s), 1 - (SQRT2 / s - 1) / v),",
            verify=True),
-    # The second round pairs p with strategy 2's value and 1 - p with strategy 1's.
+    # The first round pairs p with strategy 2's value and 1 - p with strategy 1's: the
+    # standard value1 reads (4 - 2p) sin 2phi, not (2p + 2) sin 2phi.
+    Mutant("mix-pairs-first-round-with-the-wrong-strategy", "src/seqbell/scenario.py",
+           "outer(first1, p) + outer(first2, q)", "outer(first2, p) + outer(first1, q)",
+           verify=True),
+    # So does the second round.
     Mutant("mix-pairs-second-round-with-the-wrong-strategy", "src/seqbell/scenario.py",
-           "p * second1 + (1 - p) * second2", "p * second2 + (1 - p) * second1", verify=True),
+           "outer(second1, p) + outer(second2, q)", "outer(second2, p) + outer(second1, q)",
+           verify=True),
     # Kernel mutants: the channel weighs z = 0 and z = 1 the wrong way round,
     Mutant("swapped-channel-weights", "src/seqbell/luders.py",
            "weights = (prob_z0, 1.0 - prob_z0)", "weights = (1.0 - prob_z0, prob_z0)",
