@@ -44,9 +44,9 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 # Largest scan, in grid cells: 16x the default 500x500 grid. At the cap,
-# scan-standard peaks at 331 MiB of RSS on a 2000x2000 grid and 418 MiB on a
+# scan-standard peaks at 330 MiB of RSS on a 2000x2000 grid and 394 MiB on a
 # 2x2,000,000 one (wait4, 2-CPU x86-64). Beside the CSV buffer, the writer keeps
-# one row of template text, so a grid with few angles and a long p axis pays more.
+# the padded text of every p, so a grid with few angles and a long p axis pays more.
 MAX_SCAN_CELLS = 4_000_000
 
 

@@ -95,47 +95,158 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-# The phi column's slot in a block's template: one byte that neither the
-# header nor any ``_fmt`` text holds. Flags are written as their digit's bytes.
-_PHI_SLOT = "\0"
-_FLAG_TEXT = np.array([b"0", b"1"], dtype=object)
+# Bytes per text row of ``_texts``: "0000", 12 digits and NUL, or the longest ``_fmt``
+# text of a double (19 bytes, as in -1.23456789012e-308) and NUL.
+_ROW = 20
+# A value x in the decade E = -4..10, fl(10^E) <= x < fl(10^(E+1)), has the code
+# k = E + 5 = np.searchsorted(_TENS, x, "right"); code 0 holds x < 1e-4, x <= 0 and
+# -inf, code 16 holds x >= 1e11, inf and NaN, and both go to ``_fmt``.
+_TENS = np.array([float(f"1e{e}") for e in range(-4, 12)])
+# 10^(11-E) per code, as the double nearest it, exact for 11-E <= 15; for codes 0 and 16,
+# NaN, which fails every test of m.
+_SCALE = np.array([math.nan] + [float(10 ** (11 - e)) for e in range(-4, 11)] + [math.nan])
 
-# Cells per ``%`` call in ``grid_to_csv``. Measured in process on a 2-CPU x86-64 machine,
-# medians of 11: a 20x25,000 genuine grid formats in 361 ms in blocks of 2,048 against
-# 391 ms for whole rows (369 ms at 512 and at 8,192 cells), and its traced peak above the
-# 30.6 MiB output falls from 7.9 to 3.0 MiB; on 2x100,000 it falls from 17.5 to 4.6 MiB.
-# A 500-cell row is one block, so the default grid is unchanged (157 against 160 ms).
-_CSV_BLOCK = 2048
+
+def _tables():
+    """The lookup tables of ``_texts``, built from byte strings: at import, this costs about
+    0.3 ms, where array arithmetic costs about 0.9 ms on its first calls.
+
+    ``digits`` holds each 4-digit group as its four ASCII digits in a uint32, in the order
+    of its bytes, and ``zeros`` the count of its trailing zeros (4 for 0000). A value's
+    digit row is "0000" and its 12 digits. Its text keeps the bytes of that row that
+    ``before`` selects, from 1 + min(E, 0) bytes before the point: the integer digits, or
+    a 0 and the zeros after the point. The bytes of the row one column later that
+    ``after`` selects follow the point: the rest of the digits but for the value's
+    trailing zeros. ``point`` puts the point between them, unless no digit follows it.
+    These three have a row per code and count of trailing zeros, and every other byte is
+    NUL (all of them for codes 0 and 16). ``first`` is the first column of each code's text.
+    """
+    digits = bytearray(4 * 10_000)
+    for place in range(4):  # a digit in this place holds for `run` groups in a row
+        run = 10 ** (3 - place)
+        digits[place::4] = b"".join(bytes([d]) * run for d in b"0123456789") * (1000 // run)
+    zeros = bytearray(10_000)
+    for k in range(1, 5):
+        zeros[::10**k] = bytes([k]) * (10_000 // 10**k)
+    before, after, point = (bytearray(17 * 12 * _ROW) for _ in range(3))
+    first = [4 + min(code - 5, 0) for code in range(17)]
+    for code in range(1, 16):
+        at = code  # the point's column, 5 + E
+        for trailing in range(12):
+            kept = max(16 - code - trailing, 0)
+            row = (12 * code + trailing) * _ROW
+            before[row + first[code]:row + at] = b"\xff" * (at - first[code])
+            after[row + at + 1:row + at + 1 + kept] = b"\xff" * kept
+            point[row + at] = ord(".") if kept else 0
+    # Read-only, as arrays over immutable bytes.
+    return (np.frombuffer(bytes(digits), np.uint32), np.frombuffer(bytes(zeros), np.uint8),
+            *(np.frombuffer(bytes(mask), np.uint8).reshape(-1, _ROW)
+              for mask in (before, after, point)), first)
+
+
+_DIGITS, _ZEROS, _BEFORE, _AFTER, _POINT, _FIRST = _tables()
+
+
+def _texts(x: np.ndarray) -> np.ndarray:
+    """``b"%.12g" % x`` for each x of a 1-D float array, as the rows of a uint8 matrix.
+
+    Row i holds the text of ``x[i]``, in order, and NUL bytes about it. The columns run
+    from the first that holds a text byte to one past the last, so the last is all NUL.
+
+    The fast path takes a value 1e-4 <= x < 1e11 in the decade E and rounds it to 12 digits
+    as m = rint(y), y = x * 10^(11-E) with one rounding. m is accepted only when
+    |y - m| <= 0.499 and 10^11 <= m < 10^12. y stays below 2^40, so that rounding is at
+    most half an ulp, 2^-14, and the exact x * 10^(11-E) lies within 0.499 + 2^-14 < 1/2 of m:
+    m is the correctly rounded 12-digit significand that CPython's dtoa gives, and E is
+    the text's exponent. (x >= fl(10^E) puts the exact product above 10^11 - 1e-4, where
+    12 digits round up to 10^11 too.) Every other value, near-ties included, goes through
+    ``_fmt``, so ``%.12g`` is spelt in one place. Each temporary is dropped once used,
+    which halves the working set.
+    """
+    code = np.searchsorted(_TENS, x, side="right")
+    y = x * _SCALE[code]
+    m = np.rint(y)
+    fast = (np.abs(y - m) <= 0.499) & (m >= 1e11) & (m < 1e12)
+    del y
+    m[~fast] = 1e11
+    m = m.astype(np.int64)
+    high, low = m // 10**8, m % 10**4
+    middle = m // 10**4 - high * 10**4
+    del m
+    digits = np.zeros((x.size, _ROW // 4), np.uint32)
+    digits[:, 0] = 0x30303030  # "0000"
+    digits[:, 1], digits[:, 2], digits[:, 3] = _DIGITS[high], _DIGITS[middle], _DIGITS[low]
+    row = _ZEROS[low]
+    tail = np.flatnonzero(low == 0)  # trailing zeros that run on into the group before
+    row[tail] += _ZEROS[middle[tail]] + (middle[tail] == 0) * _ZEROS[high[tail]]
+    del high, middle, low
+    row = code * 12 + row
+    first = _FIRST[code.min()] if fast.all() else 0
+    del code
+    text = digits.view(np.uint8).ravel()
+    shifted = np.take(_AFTER, row, axis=0).ravel()
+    shifted[1:] &= text[:-1]
+    mask = np.take(_BEFORE, row, axis=0).ravel()
+    text &= mask
+    text |= shifted
+    del shifted
+    np.take(_POINT, row, axis=0, out=mask.reshape(-1, _ROW))
+    text |= mask
+    del mask
+    text = text.reshape(-1, _ROW)
+    slow = np.flatnonzero(~fast)
+    if slow.size == 0:
+        return text[:, first:18]
+    spelt = [_fmt(v).encode() for v in x[slow].tolist()]
+    text[slow] = np.frombuffer(b"".join(t.ljust(_ROW, b"\0") for t in spelt),
+                               np.uint8).reshape(-1, _ROW)
+    return text[:, :1 + max(17, *map(len, spelt))]
+
+
+# Cells per block of ``grid_to_csv``: the largest power of two whose working set stays within
+# the bound of ``TestOutputMemory``. Measured in process on a 2-CPU x86-64 machine, medians
+# of 7: a 20x25,000 genuine grid formats in 145 ms in blocks of 1,024 cells, 171 ms in
+# blocks of 512 and 133 ms in blocks of 2,048, and the traced peak above the output of a
+# 20x1,000 grid is 5.2 rows of its text at 1,024, 4.2 at 512 and 8.0 at 2,048.
+_CSV_BLOCK = 1024
 
 
 def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
     """The grid as ASCII CSV bytes, phi-major, ending in a newline.
 
-    Each phi row is formatted in blocks of at most ``_CSV_BLOCK`` cells: one ``%``
-    call per block on a bytes template, appended to one buffer, so the text never
-    exists twice and at most one block of it is in flight. The templates, one per
-    block of p columns and one row's worth in all, are built once per grid and spell
-    out the p and v columns (``_fmt`` text holds no ``%``). Each block splices its
-    ``_fmt(phi)`` into its template's phi slots with one ``bytes.replace``. Only the
-    two values go through ``%.12g`` (the text of ``_fmt``) per cell; the flag goes
-    through ``%b`` as the bytes ``0`` or ``1``.
+    The cells are laid out in blocks of at most ``_CSV_BLOCK``: whole rows, or one row's
+    run of p columns when a row is longer. Each block is one NUL-padded uint8 matrix, a
+    cell per line, ``phi, | p,[v,] | value1, | value2, | flag\\n``, whose columns are
+    the texts of ``_texts``; one boolean mask drops the padding (no CSV byte is NUL), and
+    the block is appended to the one buffer returned, so the text never exists twice.
+    The phi and p columns are formatted once per grid.
     """
-    v_head, v_col = ("", "") if grid.v is None else (",v", "," + _fmt(grid.v))
+    v_head, v_text = ("", b"") if grid.v is None else (",v", _fmt(grid.v).encode() + b",")
     csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
-    blocks = [(slice(k, k + _CSV_BLOCK),
-               "".join(f"{_PHI_SLOT},{_fmt(p)}{v_col},%.12g,%.12g,%b\n"
-                       for p in grid.p[k:k + _CSV_BLOCK]).encode())
-              for k in range(0, grid.p.size, _CSV_BLOCK)]
-    slot = _PHI_SLOT.encode()
-    for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        phi_text = _fmt(phi).encode()
-        for cells, template in blocks:
-            value1 = row1[cells].tolist()
-            values = [None] * (3 * len(value1))
-            values[0::3] = value1
-            values[1::3] = row2[cells].tolist()
-            values[2::3] = _FLAG_TEXT[flags[cells].view(np.uint8)].tolist()
-            csv += template.replace(slot, phi_text) % tuple(values)
+    if grid.value1.size == 0:
+        return csv
+    phi, p = _texts(grid.phi), _texts(grid.p)
+    phi[:, -1] = p[:, -1] = ord(",")
+    v = np.broadcast_to(np.frombuffer(v_text, np.uint8), (grid.p.size, len(v_text)))
+    p = np.hstack([p, v])
+    rows_per_block = max(1, _CSV_BLOCK // grid.p.size)
+    for i in range(0, grid.phi.size, rows_per_block):
+        rows = slice(i, i + rows_per_block)
+        for k in range(0, grid.p.size, _CSV_BLOCK):
+            cols = slice(k, k + _CSV_BLOCK)
+            value1, value2 = grid.value1[rows, cols], grid.value2[rows, cols]
+            text = _texts(np.stack((value1, value2), axis=-1).ravel())
+            text[:, -1] = ord(",")
+            shape = value1.shape
+            width = 2 * text.shape[1]
+            block = np.empty((*shape, phi.shape[1] + p.shape[1] + width + 2), np.uint8)
+            block[:, :, :phi.shape[1]] = phi[rows, None]
+            block[:, :, phi.shape[1]:phi.shape[1] + p.shape[1]] = p[cols]
+            block[:, :, -2 - width:-2] = text.reshape(*shape, width)
+            del text
+            block[:, :, -2] = grid.flagged[rows, cols] + ord("0")
+            block[:, :, -1] = ord("\n")
+            csv.extend(block[block != 0])
     return csv
 
 

@@ -15,7 +15,7 @@ import seqbell.cli as cli
 import seqbell.feasibility as feasibility
 import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
-from seqbell.feasibility import FeasibilityGrid, _fmt, scan, scan_blocks, scan_grid
+from seqbell.feasibility import FeasibilityGrid, scan, scan_blocks, scan_grid
 from seqbell.qstate import PHI_MAX
 from seqbell.scenario import branch_arrays, mix
 
@@ -214,19 +214,13 @@ class TestScanStandard:
 
 
 def reference_csv(grid):
-    """The per-cell CSV writer that the row templates replaced, kept as the reference."""
-    fmt = _fmt
-    if grid.v is None:
-        lines = ["phi,p,value1,value2,double_violation"]
-        v_col = ""
-    else:
-        lines = ["phi,p,v,value1,value2,double_violation"]
-        v_col = "," + fmt(grid.v)
-    p_cols = [fmt(p) + v_col for p in grid.p]
-    for phi, row1, row2, flags in zip(grid.phi, grid.value1, grid.value2, grid.flagged):
-        phi_col = fmt(phi)
-        for p_col, value1, value2, flag in zip(p_cols, row1.tolist(), row2.tolist(), flags):
-            lines.append(f"{phi_col},{p_col},{fmt(value1)},{fmt(value2)},{'1' if flag else '0'}")
+    """The grid's CSV formatted cell by cell in Python, the reference of ``grid_to_csv``."""
+    v_head, v_col = ("", "") if grid.v is None else (",v", f",{grid.v:.12g}")
+    lines = [f"phi,p{v_head},value1,value2,double_violation"]
+    for i, phi in enumerate(grid.phi.tolist()):
+        for j, p in enumerate(grid.p.tolist()):
+            lines.append(f"{phi:.12g},{p:.12g}{v_col},{grid.value1[i, j]:.12g},"
+                         f"{grid.value2[i, j]:.12g},{int(grid.flagged[i, j])}")
     return "\n".join(lines) + "\n"
 
 
@@ -276,8 +270,11 @@ HAND_GRIDS = {
 }
 
 
-# Any double, with the signed zeros, the infinities and NaN drawn explicitly.
-csv_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+# Any double, with the signed zeros, the infinities, NaN, the least subnormal, a value below
+# the formatter's fast range and a tie above it drawn explicitly, and values in that range.
+csv_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 123456789012.5]),
+    st.floats(), st.floats(1e-4, 1e11))
 
 
 def random_grids(n_phi, n_p):
@@ -312,10 +309,11 @@ class TestGridWriters:
         grid = data.draw(random_grids(n_phi, n_p))
         csv = cli.grid_to_csv(grid)
         assert csv == reference_csv(grid).encode("ascii")
-        assert feasibility._PHI_SLOT.encode() not in csv
+        assert b"\0" not in csv
 
     @pytest.mark.parametrize("v", [None, 0.8])
-    @pytest.mark.parametrize("n_p", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("n_p", [0, 1, 2, BLOCK // 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 3])
     def test_matches_per_cell_reference_across_block_boundaries(self, n_p, v):
         rng = np.random.default_rng(n_p)
         shape = (3, n_p)
@@ -351,11 +349,11 @@ class TestGridWriters:
 
 class TestOutputMemory:
     def test_csv_is_built_in_one_buffer(self, traced_peak):
-        # Beside the output the writer holds the buffer's growth slack (up to an
-        # eighth of the output, 2.5 of its 20 phi row blocks), the template, its
-        # spliced copy, one block's values and its formatted text: about 5.2 blocks
-        # at any n_p. Row blocks kept in a list and then joined, or any other copy
-        # of the output, would add 20.
+        # Beside the output the writer holds the buffer's growth slack (up to an eighth
+        # of the output, 2.5 of its 20 phi rows), the phi and p texts, and one block of
+        # at most _CSV_BLOCK cells, a row here: its NUL-padded matrix, the mask and its
+        # CSV bytes, about a row each. It peaks near 5.2 rows. Row blocks kept in a list
+        # and then joined, or any other copy of the output, would add 20.
         grid = scan("genuine", *scan_grid(20, 1000), v=0.9)
         data, peak = traced_peak(cli.grid_to_csv, grid)
         block = len(data) / grid.phi.size
@@ -363,9 +361,9 @@ class TestOutputMemory:
 
     def test_long_rows_are_formatted_in_blocks(self, traced_peak):
         # Beside the output the writer holds the buffer's growth slack (up to an eighth
-        # of the output), one row's templates (about 0.55 of a row's text here) and one
-        # block's values and text, whatever n_p is: 4.6 MiB above the 11.4 MiB output.
-        # Formatting whole rows held 17.5 MiB, three copies of a row's text.
+        # of the output), the padded p texts (about a third of a row's text here) and one
+        # block of at most _CSV_BLOCK cells, whatever n_p is: it peaks near 0.4 of a row.
+        # Formatting whole rows held three copies of a row's text.
         grid = scan_blocks("standard", *scan_grid(2, 100_000))
         data, peak = traced_peak(cli.grid_to_csv, grid)
         row = len(data) / grid.phi.size

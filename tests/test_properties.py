@@ -14,6 +14,7 @@ example database, so they are reproducible and leave no files behind.
 
 import itertools
 import math
+import random
 from unittest.mock import patch
 
 import numpy as np
@@ -29,7 +30,14 @@ from seqbell.bell import (
     svetlichny_value,
 )
 from seqbell.cmatrix import kron
-from seqbell.feasibility import _fmt, p_window_genuine, p_window_standard, scan, scan_blocks
+from seqbell.feasibility import (
+    _fmt,
+    _texts,
+    p_window_genuine,
+    p_window_standard,
+    scan,
+    scan_blocks,
+)
 from seqbell.luders import embed_third, luders_products, luders_update, luders_weigh
 from seqbell.qstate import (
     PHI_MAX,
@@ -208,9 +216,64 @@ any_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan
 @PROPERTY
 @given(any_floats)
 def test_printf_format_matches_csv_formatter(x):
-    # grid_to_csv writes value columns through "%.12g" templates.
+    # _fmt spells the texts that grid_to_csv's number formatter leaves to Python.
     assert "%.12g" % x == _fmt(x)
     assert b"%.12g" % x == _fmt(x).encode()
+
+
+def texts_of(values):
+    """The texts that ``_texts`` gives the values, NUL bytes dropped; its last column is NUL."""
+    rows = _texts(np.array(values, dtype=float))
+    assert not rows[:, -1].any()
+    return [bytes(row).replace(b"\0", b"") for row in rows]
+
+
+def printf_texts(values):
+    return [b"%.12g" % x for x in values]
+
+
+@PROPERTY
+@given(st.lists(st.one_of(any_floats, st.floats(1e-4, 1e11),
+                          st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)),
+                min_size=1, max_size=64))
+def test_number_texts_match_printf(values):
+    # Any doubles: the fast path's range 1e-4 <= x < 1e11, the subnormals, and the rest.
+    assert texts_of(values) == printf_texts(values)
+
+
+def test_number_texts_match_printf_next_to_powers_of_ten():
+    # Three doubles either side of 10^k, and of the value 10^k (1 - 5e-13) at which 12
+    # digits round up to 10^k, for k = -5..12: decade, code and round-up edges.
+    values = []
+    for k in range(-5, 13):
+        for centre in (float(f"1e{k}"), float(f"{10**12 - 0.5}e{k - 12}")):
+            below = above = centre
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                values += [below, above]
+            values.append(centre)
+    assert texts_of(values) == printf_texts(values)
+
+
+def test_number_texts_match_printf_at_near_ties():
+    # fl((m + 0.5) 10^(E-11)) for random 12-digit m and E = -4..10: the scaled value lies
+    # within an ulp of an integer and a half, where rint's side need not be printf's.
+    rng = random.Random(7)
+    values = [float(f"{2 * rng.randrange(10**11, 10**12) + 1}e{rng.randrange(-4, 11) - 12}")
+              for _ in range(1000)]
+    assert texts_of(values) == printf_texts(values)
+
+
+def test_number_texts_match_printf_with_trailing_zeros():
+    # 12-digit significands with 1 to 11 trailing zeros, in every decade of the fast path.
+    rng = random.Random(3)
+    values = []
+    for zeros in range(1, 12):
+        for e in range(-4, 11):
+            lead = rng.randrange(10 ** (11 - zeros), 10 ** (12 - zeros))
+            lead += rng.randrange(1, 10) - lead % 10
+            values.append(float(f"{lead * 10 ** zeros}e{e - 11}"))
+    assert texts_of(values) == printf_texts(values)
 
 
 def reference_inequality_value(values, terms):

@@ -66,16 +66,21 @@ MUTANTS = (
            "lo, hi = bound - VIOLATION_MARGIN, bound + VIOLATION_MARGIN",
            "lo, hi = -np.inf, np.inf", verify=True),
     Mutant("inverted-csv-flag", "src/seqbell/feasibility.py",
-           "_FLAG_TEXT[flags[cells].view(np.uint8)]", "_FLAG_TEXT[(~flags[cells]).view(np.uint8)]",
-           verify=True),
+           "= grid.flagged[rows, cols] + ord(", "= ~grid.flagged[rows, cols] + ord(", verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
-           "values[0::3] = value1", "values[0::3] = row2[cells].tolist()", verify=True),
+           "np.stack((value1, value2), axis=-1)", "np.stack((value2, value1), axis=-1)",
+           verify=True),
     # A row longer than one CSV block loses its partial last block. Test-only: every
     # row verify formats is one block; the block-boundary test owns it.
     Mutant("csv-drops-partial-last-block", "src/seqbell/feasibility.py",
-           "for k in range(0, grid.p.size, _CSV_BLOCK)]",
-           "for k in range(0, grid.p.size - grid.p.size % _CSV_BLOCK or grid.p.size, _CSV_BLOCK)]",
+           "for k in range(0, grid.p.size, _CSV_BLOCK):",
+           "for k in range(0, grid.p.size - grid.p.size % _CSV_BLOCK or grid.p.size, _CSV_BLOCK):",
            verify=False),
+    # The number formatter accepts every rint, so a value whose scaled product lies near
+    # half an integer may take the wrong one of its two 12-digit roundings. Test-only: the
+    # CSV that verify reads back is parsed to within 1e-11; the near-tie test owns it.
+    Mutant("csv-near-tie-unguarded", "src/seqbell/feasibility.py",
+           "fast = (np.abs(y - m) <= 0.499) & (m >= 1e11)", "fast = (m >= 1e11)", verify=False),
     # The blocked scan writes each block's value1 into value2 and value2 into value1.
     # The flag rule is symmetric in the two values, so only the per-angle cross-check sees it.
     Mutant("blocked-scan-swaps-value-arrays", "src/seqbell/feasibility.py",
