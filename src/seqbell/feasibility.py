@@ -262,8 +262,17 @@ def scan_grid(n_phi: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
 _SCAN_BLOCK = 100
 
 
-def _scan_samples(kind: str, phi_samples, p_samples, v) -> tuple[np.ndarray, np.ndarray]:
-    """The checked phi and p sample arrays of a scan."""
+def _classified(kind: str, phi, p, v, value1, value2) -> FeasibilityGrid:
+    """The grid of the two value arrays, each cell flagged when both are violations."""
+    threshold = SCENARIOS[kind].bound + VIOLATION_MARGIN
+    flagged = (value1 > threshold) & (value2 > threshold)
+    return FeasibilityGrid(kind=kind, phi=phi, p=p, v=v,
+                           value1=value1, value2=value2, flagged=flagged)
+
+
+def _scan(kind: str, phi_samples, p_samples, v, branches, step: int) -> FeasibilityGrid:
+    """The checked samples' grid, mixed from one ``branches(kind, phi, v)`` call per block of
+    ``step`` angles, and classified; ``branches`` returns what ``branch_arrays`` does."""
     phi = np.asarray(phi_samples, dtype=float)
     p = np.asarray(p_samples, dtype=float)
     for name, samples in (("phi", phi), ("p", p)):
@@ -274,44 +283,29 @@ def _scan_samples(kind: str, phi_samples, p_samples, v) -> tuple[np.ndarray, np.
     check_p(p.min())
     check_p(p.max())
     check_kind(kind, v)
-    return phi, p
-
-
-def _classified(kind: str, phi, p, v, value1, value2) -> FeasibilityGrid:
-    """The grid of the two value arrays, each cell flagged when both are violations."""
-    threshold = SCENARIOS[kind].bound + VIOLATION_MARGIN
-    flagged = (value1 > threshold) & (value2 > threshold)
-    return FeasibilityGrid(kind=kind, phi=phi, p=p, v=v,
-                           value1=value1, value2=value2, flagged=flagged)
+    value1 = np.empty((phi.size, p.size))
+    value2 = np.empty((phi.size, p.size))
+    for k in range(0, phi.size, step):
+        rows = slice(k, k + step)
+        value1[rows], value2[rows] = mix(branches(kind, phi[rows], v), p)
+    return _classified(kind, phi, p, v, value1, value2)
 
 
 def scan(kind: str, phi_samples, p_samples, v: float | None = None) -> FeasibilityGrid:
     """Simulate every (phi, p) cell and flag the double violations, one angle at a time.
 
-    Each row is bitwise the row of ``mix(branch_arrays(kind, phi, v), p)`` at its angle:
-    ``scenario.mix`` mixes that angle's four branch floats into the row.
+    Bitwise ``scan_blocks``: each angle's four branch floats are the N = 1 row of
+    ``branch_arrays``. Per angle, because the benchmark tracer pins these per-angle
+    calls and wraps each name where this module holds it, so both are looked up per call.
     """
-    phi, p = _scan_samples(kind, phi_samples, p_samples, v)
-    value1 = np.empty((phi.size, p.size))
-    value2 = np.empty((phi.size, p.size))
-    # Per angle, not ``scan_blocks``: the benchmark tracer pins these per-angle calls, and
-    # wraps each name where this module holds it, so both are looked up here, per call.
-    for i, ph in enumerate(phi):
-        branches = (standard_branch_values(ph) if kind == "standard"
-                    else genuine_branch_values(ph, v))
-        value1[i, :], value2[i, :] = mix(branches, p)
-    return _classified(kind, phi, p, v, value1, value2)
+    return _scan(kind, phi_samples, p_samples, v, lambda kind, phi, v: (
+        standard_branch_values(phi[0]) if kind == "standard"
+        else genuine_branch_values(phi[0], v)), 1)
 
 
 def scan_blocks(kind: str, phi_samples, p_samples, v: float | None = None) -> FeasibilityGrid:
     """``scan``, bitwise, with one ``branch_arrays`` call per block of ``_SCAN_BLOCK`` angles."""
-    phi, p = _scan_samples(kind, phi_samples, p_samples, v)
-    value1 = np.empty((phi.size, p.size))
-    value2 = np.empty((phi.size, p.size))
-    for k in range(0, phi.size, _SCAN_BLOCK):
-        rows = slice(k, k + _SCAN_BLOCK)
-        value1[rows], value2[rows] = mix(branch_arrays(kind, phi[rows], v), p)
-    return _classified(kind, phi, p, v, value1, value2)
+    return _scan(kind, phi_samples, p_samples, v, branch_arrays, _SCAN_BLOCK)
 
 
 def window_membership(grid: FeasibilityGrid) -> np.ndarray:

@@ -327,11 +327,14 @@ def _scan_consistency(grid, threshold: float, on_bound: int) -> list[Measurement
     ``on_bound`` is the grid's pinned count of cells with a value within the violation
     margin of the bound, where the windows are not compared: each lies exactly on it.
 
-    Every 25th row is also scanned one angle at a time, as the CLI scans, and must match.
+    Every 25th row is also scanned one angle at a time, as the CLI scans, and must match, and
+    is read against the closed forms, which tell value1 from value2 where the flag rule cannot.
     """
     flagged_rows = grid.phi[np.any(grid.flagged, axis=1)]
     mismatches, near = scan_window_disagreements(grid)
     rows = scan(grid.kind, grid.phi[::25], grid.p, grid.v)
+    closed1, closed2 = SCENARIOS[grid.kind].closed(
+        _SIN(2 * grid.phi[::25]).astype(float)[:, None], grid.p, grid.v)
     unlike = ((rows.value1.view(np.uint64) != grid.value1[::25].view(np.uint64))
               | (rows.value2.view(np.uint64) != grid.value2[::25].view(np.uint64))
               | (rows.flagged != grid.flagged[::25]))
@@ -342,6 +345,8 @@ def _scan_consistency(grid, threshold: float, on_bound: int) -> list[Measurement
          np.count_nonzero(~(flagged_rows > threshold)), 0),
         ("no flagged angle", int(flagged_rows.size == 0), 0),
         ("cells unlike the per-angle scan", np.count_nonzero(unlike), 0),
+        ("max deviation of every 25th row from the closed forms",
+         _worst(np.abs(grid.value1[::25] - closed1), np.abs(grid.value2[::25] - closed2)), 1e-10),
     ]
 
 

@@ -186,21 +186,16 @@ def test_violation_margin_sets_the_flag_threshold():
 
 
 class TestScan:
-    def test_cells_match_pair_functions_exactly(self):
-        grid = scan("standard", phi_grid(6), np.linspace(0.0, 1.0, 5))
+    @pytest.mark.parametrize("kind, v, n_phi, n_p",
+                             [("standard", None, 6, 5), ("genuine", 0.8, 5, 4)],
+                             ids=["standard", "genuine"])
+    def test_cells_match_pair_functions_exactly(self, kind, v, n_phi, n_p):
+        grid = scan(kind, phi_grid(n_phi), np.linspace(0.0, 1.0, n_p), v=v)
         for i, phi in enumerate(grid.phi):
             for j, p in enumerate(grid.p):
-                m1, m2 = mix(branch_arrays("standard", [float(phi)]), float(p))
-                assert grid.value1[i, j] == m1
-                assert grid.value2[i, j] == m2
-
-    def test_genuine_cells_match_pair_functions(self):
-        grid = scan("genuine", phi_grid(5), np.linspace(0.0, 1.0, 4), v=0.8)
-        for i, phi in enumerate(grid.phi):
-            for j, p in enumerate(grid.p):
-                s1, s2 = mix(branch_arrays("genuine", [float(phi)], 0.8), float(p))
-                assert grid.value1[i, j] == s1
-                assert grid.value2[i, j] == s2
+                value1, value2 = mix(branch_arrays(kind, [float(phi)], v), float(p))
+                assert grid.value1[i, j] == value1
+                assert grid.value2[i, j] == value2
 
     def test_boundary_is_not_a_violation(self):
         # M1 = 2 exactly at p = 0, phi = pi/4 must not count as a violation
@@ -208,23 +203,23 @@ class TestScan:
         assert grid.value1[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert not grid.flagged[0, 0]
 
-    def test_standard_double_violation(self):
-        grid = scan("standard", [PI4], [0.5])
+    # At pi/4 the closed forms give M = (3, 2.5) at p = 1/2, S = 2 sqrt2 (1.45, 1.44) at 0.45.
+    @pytest.mark.parametrize("kind, v, p, bound, values", [
+        ("standard", None, 0.5, 2.0, (3.0, 2.5)),
+        ("genuine", 0.8, 0.45, 4.0, (2 * SQRT2 * 1.45, 2 * SQRT2 * 1.44)),
+    ], ids=["standard", "genuine"])
+    def test_double_violation(self, kind, v, p, bound, values):
+        grid = scan(kind, [PI4], [p], v=v)
         assert grid.flagged[0, 0]
-        assert grid.value1[0, 0] > 2.0 and grid.value2[0, 0] > 2.0
-        assert grid.value1[0, 0] == pytest.approx(3.0, abs=1e-10)
-        assert grid.value2[0, 0] == pytest.approx(2.5, abs=1e-10)
+        assert grid.value1[0, 0] > bound and grid.value2[0, 0] > bound
+        assert grid.value1[0, 0] == pytest.approx(values[0], abs=1e-10)
+        assert grid.value2[0, 0] == pytest.approx(values[1], abs=1e-10)
 
     def test_standard_below_threshold(self):
         # sin(0.6) ~ 0.5646, so M1 ~ 1.694 < 2
         grid = scan("standard", [0.3], [0.5])
         assert not grid.flagged[0, 0]
         assert grid.value1[0, 0] < 2.0
-
-    def test_genuine_double_violation(self):
-        grid = scan("genuine", [PI4], [0.45], v=0.8)
-        assert grid.flagged[0, 0]
-        assert grid.value1[0, 0] > 4.0 and grid.value2[0, 0] > 4.0
 
     def test_flags_require_strict_double_violation(self):
         grid = scan("standard", phi_grid(40), np.linspace(0.0, 1.0, 40))
@@ -301,20 +296,11 @@ class TestScan:
         with pytest.raises(ValueError, match="1-D"):
             scan("standard", [0.5], np.array([[0.0, 1.0]]))
 
-    def test_standard_rejects_v(self):
+    # A standard scenario with a bias, a genuine one without, and unknown kinds.
+    @pytest.mark.parametrize("kind, v", [("standard", 0.8), ("standard", 0.5),
+                                         ("genuine", None), ("bipartite", None), ("chsh", None)])
+    def test_rejects_a_kind_and_bias_that_do_not_fit(self, kind, v):
         with pytest.raises(ValueError):
-            scan("standard", [PI4], [0.5], v=0.8)
+            scan(kind, [PI4], [0.5], v=v)
         with pytest.raises(ValueError):
-            scan("standard", phi_grid(4), np.linspace(0.0, 1.0, 4), v=0.5)
-
-    def test_genuine_requires_v(self):
-        with pytest.raises(ValueError):
-            scan("genuine", [PI4], [0.5])
-        with pytest.raises(ValueError):
-            scan("genuine", phi_grid(4), np.linspace(0.0, 1.0, 4))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            scan("bipartite", [PI4], [0.5])
-        with pytest.raises(ValueError):
-            scan("chsh", phi_grid(4), np.linspace(0.0, 1.0, 4))
+            scan(kind, phi_grid(4), np.linspace(0.0, 1.0, 4), v=v)

@@ -147,6 +147,24 @@ def test_per_angle_scan_unlike_the_blocked_one_fails_standard_scan_consistency(m
     assert unlike is not None and float(unlike[1]) > 0
 
 
+@pytest.mark.parametrize("name", ["standard-scan-consistency", "genuine-scan-consistency"])
+def test_scans_that_swap_the_two_values_fail_scan_consistency(monkeypatch, name):
+    real = feasibility.mix
+
+    def values_swapped(branches, p):
+        value1, value2 = real(branches, p)
+        return value2, value1
+
+    # Both scans write their rows through this one name, so they agree with each other.
+    monkeypatch.setattr(feasibility, "mix", values_swapped)
+    result = run_one(monkeypatch, name)
+    assert not result.passed
+    assert "cells unlike the per-angle scan 0 (tol 0)" in result.detail
+    label = "max deviation of every 25th row from the closed forms"
+    closed = re.search(rf"{label} (\S+) \(tol 1e-10\)", result.detail)
+    assert closed is not None and float(closed[1]) > 1e-10
+
+
 def test_second_round_mixed_with_the_wrong_strategy_fails_mixing_linearity(monkeypatch):
     def swapped(branches, p):
         first1, second1, first2, second2 = branches

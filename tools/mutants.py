@@ -81,10 +81,16 @@ MUTANTS = (
     # CSV that verify reads back is parsed to within 1e-11; the near-tie test owns it.
     Mutant("csv-near-tie-unguarded", "src/seqbell/feasibility.py",
            "fast = (np.abs(y - m) <= 0.499) & (m >= 1e11)", "fast = (m >= 1e11)", verify=False),
-    # The blocked scan writes each block's value1 into value2 and value2 into value1.
-    # The flag rule is symmetric in the two values, so only the per-angle cross-check sees it.
+    # The one scan loop writes each block's value1 into value2 and value2 into value1, so
+    # the CLI's scan and verify's both do, and still agree. The flag rule is symmetric in the
+    # two values; the scan-consistency checks' closed-form rows and the CLI digest tests see it.
     Mutant("blocked-scan-swaps-value-arrays", "src/seqbell/feasibility.py",
            "value1[rows], value2[rows] = mix(", "value2[rows], value1[rows] = mix(", verify=True),
+    # The CLI's scan takes two angles per step and mixes only the first one's branches, so
+    # each odd row repeats the row before it; "cells unlike the per-angle scan" sees it.
+    Mutant("per-angle-scan-skips-angles", "src/seqbell/feasibility.py",
+           "genuine_branch_values(phi[0], v)), 1)", "genuine_branch_values(phi[0], v)), 2)",
+           verify=True),
     # The genuine threshold angle loses the sqrt2 of S = 2 sqrt2 (...) sin 2phi.
     Mutant("genuine-threshold-drops-sqrt2", "src/seqbell/feasibility.py",
            "math.asin(SQRT2 * (1 + v) / (1 + 2 * v))", "math.asin((1 + v) / (1 + 2 * v))",
