@@ -46,8 +46,8 @@ CHECK_FAILURE = 1
 # Largest scan, in grid cells: 16x the default 500x500 grid. It bounds memory, not time. At the
 # cap, scan-standard peaks at 330 MiB of RSS on a 2000x2000 grid and 394 MiB on a 2x2,000,000
 # one (wait4, 2-CPU x86-64): beside the CSV buffer, the writer keeps the padded text of every p.
-# The CLI's scan runs the kernel once per angle, about 160 us each: 20,000x2 took 3.3 s, 2x20,000
-# 0.2 s and 2x2,000,000 1.9 s, so 2,000,000x2 would take about 5 min. ROADMAP item 2 batches it.
+# The CLI's scan runs the kernel once per angle, 180-320 us each on a shared machine: 20,000x2
+# took 3.8-6.7 s, 2x2,000,000 2.7-3.1 s, and 2,000,000x2 would take 6-11 min (ROADMAP item 2).
 MAX_SCAN_CELLS = 4_000_000
 
 

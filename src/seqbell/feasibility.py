@@ -119,7 +119,7 @@ def _tables():
     ``after`` selects follow the point: the rest of the digits but for the value's
     trailing zeros. ``point`` puts the point between them, unless no digit follows it.
     These three have a row per code and count of trailing zeros, and every other byte is
-    NUL (all of them for codes 0 and 16). ``first`` is the first column of each code's text.
+    NUL (all of them for codes 0 and 16).
     """
     digits = bytearray(4 * 10_000)
     for place in range(4):  # a digit in this place holds for `run` groups in a row
@@ -129,29 +129,29 @@ def _tables():
     for k in range(1, 5):
         zeros[::10**k] = bytes([k]) * (10_000 // 10**k)
     before, after, point = (bytearray(17 * 12 * _ROW) for _ in range(3))
-    first = [4 + min(code - 5, 0) for code in range(17)]
     for code in range(1, 16):
-        at = code  # the point's column, 5 + E
+        at, first = code, 4 + min(code - 5, 0)  # the point's column, 5 + E, and the text's first
         for trailing in range(12):
             kept = max(16 - code - trailing, 0)
             row = (12 * code + trailing) * _ROW
-            before[row + first[code]:row + at] = b"\xff" * (at - first[code])
+            before[row + first:row + at] = b"\xff" * (at - first)
             after[row + at + 1:row + at + 1 + kept] = b"\xff" * kept
             point[row + at] = ord(".") if kept else 0
     # Read-only, as arrays over immutable bytes.
     return (np.frombuffer(bytes(digits), np.uint32), np.frombuffer(bytes(zeros), np.uint8),
             *(np.frombuffer(bytes(mask), np.uint8).reshape(-1, _ROW)
-              for mask in (before, after, point)), first)
+              for mask in (before, after, point)))
 
 
-_DIGITS, _ZEROS, _BEFORE, _AFTER, _POINT, _FIRST = _tables()
+_DIGITS, _ZEROS, _BEFORE, _AFTER, _POINT = _tables()
 
 
 def _texts(x: np.ndarray) -> np.ndarray:
     """``b"%.12g" % x`` for each x of a 1-D float array, as the rows of a uint8 matrix.
 
-    Row i holds the text of ``x[i]``, in order, and NUL bytes about it. The columns run
-    from the first that holds a text byte to one past the last, so the last is all NUL.
+    Row i holds the text of ``x[i]``, in order, and NUL bytes about it. There are 18
+    columns, or one past the longest text when ``_fmt`` spells a longer one, so the last
+    is all NUL.
 
     The fast path takes a value 1e-4 <= x < 1e11 in the decade E and rounds it to 12 digits
     as m = rint(y), y = x * 10^(11-E) with one rounding. m is accepted only when
@@ -181,7 +181,6 @@ def _texts(x: np.ndarray) -> np.ndarray:
     row[tail] += _ZEROS[middle[tail]] + (middle[tail] == 0) * _ZEROS[high[tail]]
     del high, middle, low
     row = code * 12 + row
-    first = _FIRST[code.min()] if fast.all() else 0
     del code
     text = digits.view(np.uint8).ravel()
     shifted = np.take(_AFTER, row, axis=0).ravel()
@@ -195,19 +194,18 @@ def _texts(x: np.ndarray) -> np.ndarray:
     del mask
     text = text.reshape(-1, _ROW)
     slow = np.flatnonzero(~fast)
-    if slow.size == 0:
-        return text[:, first:18]
     spelt = [_fmt(v).encode() for v in x[slow].tolist()]
-    text[slow] = np.frombuffer(b"".join(t.ljust(_ROW, b"\0") for t in spelt),
-                               np.uint8).reshape(-1, _ROW)
-    return text[:, :1 + max(17, *map(len, spelt))]
+    if spelt:
+        text[slow] = np.frombuffer(b"".join(t.ljust(_ROW, b"\0") for t in spelt),
+                                   np.uint8).reshape(-1, _ROW)
+    return text[:, :1 + max([17, *map(len, spelt)])]
 
 
 # Cells per block of ``grid_to_csv``: the largest power of two whose working set stays within
-# the bound of ``TestOutputMemory``. Measured in process on a 2-CPU x86-64 machine, medians
-# of 7: a 20x25,000 genuine grid formats in 145 ms in blocks of 1,024 cells, 171 ms in
-# blocks of 512 and 133 ms in blocks of 2,048, and the traced peak above the output of a
-# 20x1,000 grid is 5.2 rows of its text at 1,024, 4.2 at 512 and 8.0 at 2,048.
+# the bound of ``TestOutputMemory``. Medians of 9, sizes interleaved, in process on one CPU of a
+# 2-CPU x86-64 machine: a 20x25,000 genuine grid formats in 147-149 ms (two runs) in blocks of
+# 1,024 cells, 173-185 ms in blocks of 512 and 132 ms in blocks of 2,048; the traced peak above
+# the output of a 20x1,000 grid is 5.1 rows of its text at 1,024, 4.2 at 512 and 8.0 at 2,048.
 _CSV_BLOCK = 1024
 
 
@@ -215,11 +213,12 @@ def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
     """The grid as ASCII CSV bytes, phi-major, ending in a newline.
 
     The cells are laid out in blocks of at most ``_CSV_BLOCK``: whole rows, or one row's
-    run of p columns when a row is longer. Each block is one NUL-padded uint8 matrix, a
-    cell per line, ``phi, | p,[v,] | value1, | value2, | flag\\n``, whose columns are
-    the texts of ``_texts``; one boolean mask drops the padding (no CSV byte is NUL), and
-    the block is appended to the one buffer returned, so the text never exists twice.
-    The phi and p columns are formatted once per grid.
+    run of p columns when a row is longer. Each block is one uint8 matrix, a cell per line,
+    composed by one ``np.concatenate`` of its fields' texts from ``_texts`` with their NUL
+    padding: ``phi,``, ``p,`` with ``v,`` (genuine grids), ``value1,value2,``, and the flag
+    with its newline. One ``translate`` deletes the padding (no CSV byte is NUL), and the
+    block is appended to the one buffer returned, so the text never exists twice. The phi
+    and p columns are formatted once per grid.
     """
     v_head, v_text = ("", b"") if grid.v is None else (",v", _fmt(grid.v).encode() + b",")
     csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
@@ -227,8 +226,8 @@ def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
         return csv
     phi, p = _texts(grid.phi), _texts(grid.p)
     phi[:, -1] = p[:, -1] = ord(",")
-    v = np.broadcast_to(np.frombuffer(v_text, np.uint8), (grid.p.size, len(v_text)))
-    p = np.hstack([p, v])
+    p = np.hstack([p, np.tile(np.frombuffer(v_text, np.uint8), (grid.p.size, 1))])
+    ends = np.frombuffer(b"0\n1\n", np.uint8).reshape(2, 2)  # per flag, its text and newline
     rows_per_block = max(1, _CSV_BLOCK // grid.p.size)
     for i in range(0, grid.phi.size, rows_per_block):
         rows = slice(i, i + rows_per_block)
@@ -238,15 +237,12 @@ def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
             text = _texts(np.stack((value1, value2), axis=-1).ravel())
             text[:, -1] = ord(",")
             shape = value1.shape
-            width = 2 * text.shape[1]
-            block = np.empty((*shape, phi.shape[1] + p.shape[1] + width + 2), np.uint8)
-            block[:, :, :phi.shape[1]] = phi[rows, None]
-            block[:, :, phi.shape[1]:phi.shape[1] + p.shape[1]] = p[cols]
-            block[:, :, -2 - width:-2] = text.reshape(*shape, width)
-            del text
-            block[:, :, -2] = grid.flagged[rows, cols] + ord("0")
-            block[:, :, -1] = ord("\n")
-            csv.extend(block[block != 0])
+            block = np.concatenate((
+                np.broadcast_to(phi[rows, None], (*shape, phi.shape[1])),
+                np.broadcast_to(p[cols], (*shape, p.shape[1])), text.reshape(*shape, -1),
+                np.take(ends, grid.flagged[rows, cols].view(np.uint8), axis=0)), axis=-1)
+            del text  # the block holds its bytes
+            csv.extend(block.tobytes().translate(None, b"\0"))
     return csv
 
 

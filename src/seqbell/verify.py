@@ -29,6 +29,8 @@ import numpy as np
 from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
 from .cmatrix import EYE2, kron, kron_memo
 from .feasibility import (
+    _CSV_BLOCK,
+    _fmt,
     grid_to_csv,
     p_window_genuine,
     p_window_standard,
@@ -352,17 +354,18 @@ def _scan_consistency(grid, threshold: float, on_bound: int) -> list[Measurement
 
 def check_standard_scan_consistency() -> list[Measurement]:
     grid = scan_blocks("standard", *scan_grid(500, 500))
-    # At pi/4, p = 0 and p = 1 each put one value exactly on the bound 2.
-    cells = scan("standard", [PHI_MAX], [0.0, 0.5, 1.0])
-    _, _, value1, value2, flags = np.loadtxt(
-        grid_to_csv(cells).decode().splitlines(), delimiter=",", skiprows=1, unpack=True)
-    unread = ((flags != cells.flagged[0])
-              | ~np.isclose(value1, cells.value1[0], rtol=1e-11, atol=0)
-              | ~np.isclose(value2, cells.value2[0], rtol=1e-11, atol=0))
+    # At pi/4, p = 0 and p = 1 each put one value exactly on the bound 2. Of this row's 1,025
+    # p's, the middle one is 1/2, and the last fills a CSV block of its own.
+    row = scan("standard", [PHI_MAX], np.linspace(0.0, 1.0, _CSV_BLOCK + 1))
+    cells = zip(row.p.tolist(), *(x[0].tolist() for x in (row.value1, row.value2, row.flagged)))
+    lines = ["phi,p,value1,value2,double_violation\n", *(
+        f"{_fmt(PHI_MAX)},{_fmt(p)},{_fmt(a)},{_fmt(b)},{flag:d}\n" for p, a, b, flag in cells)]
+    written = grid_to_csv(row).decode().splitlines(keepends=True)
     return _scan_consistency(grid, phi_threshold_standard(), on_bound=2) + [
         ("misflagged cells at phi = pi/4, p = 0, 1/2, 1",
-         np.count_nonzero(cells.flagged[0] != [False, True, False]), 0),
-        ("CSV cells not read back as written", np.count_nonzero(unread), 0),
+         np.count_nonzero(row.flagged[0, [0, _CSV_BLOCK // 2, -1]] != [False, True, False]), 0),
+        ("CSV lines unlike the per-cell %.12g writer",
+         abs(len(written) - len(lines)) + sum(map(str.__ne__, written, lines)), 0),
     ]
 
 

@@ -120,6 +120,9 @@ def test_negative_violation_margin_fails_standard_scan_consistency(monkeypatch):
     assert "misflagged cells at phi = pi/4, p = 0, 1/2, 1 2 (tol 0)" in result.detail
 
 
+CSV_LINES = "CSV lines unlike the per-cell %.12g writer"
+
+
 def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
     real = verify.grid_to_csv
 
@@ -129,7 +132,25 @@ def test_inverted_csv_flags_fail_standard_scan_consistency(monkeypatch):
     monkeypatch.setattr(verify, "grid_to_csv", inverted)
     result = run_one(monkeypatch, "standard-scan-consistency")
     assert not result.passed
-    assert "CSV cells not read back as written 3 (tol 0)" in result.detail
+    assert f"{CSV_LINES} 1.02e+03 (tol 0)" in result.detail
+    # Every one of the witness row's 1,025 cell lines differs; its header does not.
+    measured = {label: value for label, value, _ in verify.check_standard_scan_consistency()}
+    assert measured[CSV_LINES] == 1025
+
+
+def test_csv_that_drops_a_partial_last_block_fails_standard_scan_consistency(monkeypatch):
+    real = verify.grid_to_csv
+    kept = slice(feasibility._CSV_BLOCK)
+
+    def partial_block_dropped(grid):
+        return real(dataclasses.replace(
+            grid, p=grid.p[kept], value1=grid.value1[:, kept], value2=grid.value2[:, kept],
+            flagged=grid.flagged[:, kept]))
+
+    monkeypatch.setattr(verify, "grid_to_csv", partial_block_dropped)
+    result = run_one(monkeypatch, "standard-scan-consistency")
+    assert not result.passed
+    assert f"{CSV_LINES} 1 (tol 0)" in result.detail
 
 
 def test_per_angle_scan_unlike_the_blocked_one_fails_standard_scan_consistency(monkeypatch):

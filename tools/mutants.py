@@ -66,19 +66,21 @@ MUTANTS = (
            "lo, hi = bound - VIOLATION_MARGIN, bound + VIOLATION_MARGIN",
            "lo, hi = -np.inf, np.inf", verify=True),
     Mutant("inverted-csv-flag", "src/seqbell/feasibility.py",
-           "= grid.flagged[rows, cols] + ord(", "= ~grid.flagged[rows, cols] + ord(", verify=True),
+           "np.take(ends, grid.flagged[rows, cols].view(np.uint8), axis=0)",
+           "np.take(ends, (~grid.flagged[rows, cols]).view(np.uint8), axis=0)", verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
            "np.stack((value1, value2), axis=-1)", "np.stack((value2, value1), axis=-1)",
            verify=True),
-    # A row longer than one CSV block loses its partial last block. Test-only: every
-    # row verify formats is one block; the block-boundary test owns it.
+    # A row longer than one CSV block loses its partial last block: the one cell, p = 1,
+    # that ends standard-scan-consistency's 1,025-cell row at pi/4.
     Mutant("csv-drops-partial-last-block", "src/seqbell/feasibility.py",
            "for k in range(0, grid.p.size, _CSV_BLOCK):",
            "for k in range(0, grid.p.size - grid.p.size % _CSV_BLOCK or grid.p.size, _CSV_BLOCK):",
-           verify=False),
+           verify=True),
     # The number formatter accepts every rint, so a value whose scaled product lies near
-    # half an integer may take the wrong one of its two 12-digit roundings. Test-only: the
-    # CSV that verify reads back is parsed to within 1e-11; the near-tie test owns it.
+    # half an integer may take the wrong one of its two 12-digit roundings. Test-only:
+    # verify compares the CSV bytes with the per-cell writer, but its row holds no near-tie
+    # that the guard decides; the near-tie test owns it.
     Mutant("csv-near-tie-unguarded", "src/seqbell/feasibility.py",
            "fast = (np.abs(y - m) <= 0.499) & (m >= 1e11)", "fast = (m >= 1e11)", verify=False),
     # The one scan loop writes each block's value1 into value2 and value2 into value1, so
