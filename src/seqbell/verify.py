@@ -208,12 +208,11 @@ def check_mermin_branch_values() -> list[Measurement]:
 
 
 def check_svetlichny_branch_values() -> list[Measurement]:
-    first1, second1, first2, _ = branch_arrays("genuine", _PHI_GRID, 0.5)
-    dev = _worst(np.abs(first1 - 4 * SQRT2 * _SIN2), np.abs(second1 - 2 * SQRT2 * _SIN2),
-                 np.abs(first2 - 2 * SQRT2 * _SIN2))
     v = np.arange(1, 10) / 10
-    second2 = branch_arrays("genuine", _PHI_GRID[::10], v)[3]
-    dev = _worst(dev, np.abs(second2 - 2 * SQRT2 * (1 + v[:, None]) * _SIN2[::10]))
+    first1, second1, first2, second2 = branch_arrays("genuine", _PHI_GRID, v)
+    dev = _worst(np.abs(first1 - 4 * SQRT2 * _SIN2), np.abs(second1 - 2 * SQRT2 * _SIN2),
+                 np.abs(first2 - 2 * SQRT2 * _SIN2),
+                 np.abs(second2 - 2 * SQRT2 * (1 + v[:, None]) * _SIN2))
     return [("max deviation", dev, 1e-10)]
 
 

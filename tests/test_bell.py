@@ -232,19 +232,6 @@ class TestInequalityValues:
             0.0, abs=1e-12
         )
 
-    def test_algebraic_bounds_on_random_settings(self):
-        rng = np.random.default_rng(32)
-        for _ in range(10):
-            obs = []
-            for _ in range(6):
-                n = rng.normal(size=3)
-                n /= np.linalg.norm(n)
-                obs.append(bloch_obs(*n))
-            settings = ((obs[0], obs[1]), (obs[2], obs[3]), (obs[4], obs[5]))
-            rho = to_density(ghz(float(rng.random()) * math.pi / 4))
-            assert abs(mermin_value(rho, settings)) <= 4 + 1e-10
-            assert abs(svetlichny_value(rho, settings)) <= 8 + 1e-10
-
 
 class TestLinearity:
     def test_multilinear_in_observables(self):

@@ -17,7 +17,6 @@ import seqbell.lhvbound as lhvbound
 import seqbell.verify as verify
 from seqbell.feasibility import FeasibilityGrid, scan, scan_blocks, scan_grid
 from seqbell.qstate import PHI_MAX
-from seqbell.scenario import branch_arrays, mix
 
 
 def run_cli(args):
@@ -30,31 +29,6 @@ def test_scan_defaults_are_500_by_500():
 
 
 class TestScanStandard:
-    def test_csv_schema_and_order(self, tmp_path, capsys):
-        out = tmp_path / "scan.csv"
-        assert run_cli(["scan-standard", "--grid-phi", "12", "--grid-p", "9",
-                        "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "phi,p,value1,value2,double_violation"
-        assert len(lines) == 1 + 12 * 9
-        # phi-major: the first 9 rows share one phi while p increases
-        first_block = [line.split(",") for line in lines[1:10]]
-        assert len({row[0] for row in first_block}) == 1
-        p_values = [float(row[1]) for row in first_block]
-        assert p_values == sorted(p_values)
-        assert {row[-1] for row in (line.split(",") for line in lines[1:])} <= {"0", "1"}
-
-    def test_values_reimport_to_simulation(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        run_cli(["scan-standard", "--grid-phi", "5", "--grid-p", "4",
-                 "--out", str(out)])
-        for line in out.read_text().splitlines()[1:]:
-            phi, p, v1, v2, flag = line.split(",")
-            m1, m2 = mix(branch_arrays("standard", [float(phi)]), float(p))
-            assert float(v1) == pytest.approx(m1, rel=1e-11, abs=1e-11)
-            assert float(v2) == pytest.approx(m2, rel=1e-11, abs=1e-11)
-            assert flag in ("0", "1")
-
     def test_output_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["scan-standard", "--grid-phi", "20", "--grid-p", "15", "--out", str(a)])

@@ -81,26 +81,10 @@ def test_kron_associative():
     assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-14
 
 
-
-
-
-
-
-
-
-
 def test_adjoint_distributes_over_kron():
     rng = np.random.default_rng(10)
     a, b = random_cmatrix(rng, 2), random_cmatrix(rng, 3)
     assert np.array_equal(kron(a, b).conj().T, kron(a.conj().T, b.conj().T))
-
-
-
-
-
-
-
-
 
 
 def test_predicates():

@@ -26,19 +26,6 @@ BOTH_PROJECTIVE = (PROJ_X, PROJ_Y)
 ONE_IDENTITY = (PROJ_X, identity_measurement())
 
 
-def random_strategy(rng):
-    def one():
-        if rng.random() < 0.3:
-            return identity_measurement()
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        return projective_from_observable(
-            n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
-        )
-
-    return (one(), one()), float(rng.random())
-
-
 def test_input_distribution():
     rho = to_density(ghz(0.5))
     # z = 1 gets the complement of prob_z0; the default is unbiased.
@@ -113,15 +100,6 @@ def test_double_update_is_pauli_mixture():
     expected = (3 * rho / 8 + X8 @ rho @ X8 / 4
                 + Y8 @ rho @ Y8 / 4 + Z8 @ rho @ Z8 / 8)
     assert np.max(np.abs(twice - expected)) < 1e-12
-
-
-def test_trace_and_positivity_preserved():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        rho = to_density(ghz(float(rng.random()) * math.pi / 4))
-        out = luders_update(rho, *random_strategy(rng))
-        assert abs(np.trace(out).real - 1.0) < 1e-12
-        assert np.min(np.linalg.eigvalsh(out)) > -1e-10
 
 
 def test_identity_strategy_is_fixed_point():

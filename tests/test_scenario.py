@@ -106,15 +106,6 @@ class TestGenuinePairs:
                     assert sim[0] == pytest.approx(closed[0], abs=1e-10)
                     assert sim[1] == pytest.approx(closed[1], abs=1e-10)
 
-    def test_branch_values_match_closed_forms(self):
-        phi, v = 0.55, 0.7
-        s = math.sin(2 * phi)
-        first1, second1, first2, second2 = genuine_branch_values(phi, v)
-        assert first1 == pytest.approx(4 * SQRT2 * s, abs=1e-10)
-        assert second1 == pytest.approx(2 * SQRT2 * s, abs=1e-10)
-        assert first2 == pytest.approx(2 * SQRT2 * s, abs=1e-10)
-        assert second2 == pytest.approx(2 * SQRT2 * (1 + v) * s, abs=1e-10)
-
 
 class TestValidation:
     def test_phi_range(self):
