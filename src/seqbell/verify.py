@@ -12,7 +12,7 @@ passes when it does not raise and all of its measurements pass. The
 detail text is ``label value (tol T)`` per measurement, joined by ``; ``.
 Fault injection raises the first measurement of the named check by
 ``tol + INJECTION_BUMP``, so that check fails at any tolerance scale.
-The two checks with random inputs draw them from their own seeded
+The checks with random inputs draw them from their own seeded
 ``random.Random``: the global generator is left as it was, and ``verify``
 never loads ``numpy.random`` (about 6 MB of RSS).
 """
@@ -31,6 +31,7 @@ from .cmatrix import EYE2, kron, kron_memo
 from .feasibility import (
     _CSV_BLOCK,
     _fmt,
+    _texts,
     grid_to_csv,
     p_window_genuine,
     p_window_standard,
@@ -360,11 +361,19 @@ def check_standard_scan_consistency() -> list[Measurement]:
     lines = ["phi,p,value1,value2,double_violation\n", *(
         f"{_fmt(PHI_MAX)},{_fmt(p)},{_fmt(a)},{_fmt(b)},{flag:d}\n" for p, a, b, flag in cells)]
     written = grid_to_csv(row).decode().splitlines(keepends=True)
+    # 16 near-ties per decade E = -4..10, each the double nearest (m + 1/2) 10^(E-11) for a
+    # 12-digit m, where the formatter's rint may round the other way from %.12g.
+    rng = random.Random(5)
+    ties = np.array([float(f"{rng.randrange(10**11, 10**12) + 0.5}e{e - 11}")
+                     for e in range(-4, 11) for _ in range(16)])
     return _scan_consistency(grid, phi_threshold_standard(), on_bound=2) + [
         ("misflagged cells at phi = pi/4, p = 0, 1/2, 1",
          np.count_nonzero(row.flagged[0, [0, _CSV_BLOCK // 2, -1]] != [False, True, False]), 0),
         ("CSV lines unlike the per-cell %.12g writer",
          abs(len(written) - len(lines)) + sum(map(str.__ne__, written, lines)), 0),
+        (f"formatter texts unlike %.12g at {ties.size} near-ties",
+         sum(bytes(t).strip(b"\0") != _fmt(x).encode()
+             for t, x in zip(_texts(ties), ties.tolist())), 0),
     ]
 
 

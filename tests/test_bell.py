@@ -184,48 +184,6 @@ class TestInequalityValues:
         assert dict(SVETLICHNY_TERMS)[(1, 1, 1)] == -1
         assert sum(coeff for _, coeff in SVETLICHNY_TERMS) == 4
 
-    def test_mermin_first_charlie(self):
-        settings = standard_settings(c0=SX, c1=SY)
-        for phi in np.linspace(0.0, math.pi / 4, 40):
-            rho = to_density(ghz(phi))
-            assert mermin_value(rho, settings) == pytest.approx(
-                4 * math.sin(2 * phi), abs=1e-10
-            )
-
-    def test_mermin_with_identity_setting(self):
-        settings = standard_settings(c0=SX, c1=I2)
-        for phi in (0.2, 0.5, math.pi / 4):
-            rho = to_density(ghz(phi))
-            assert mermin_value(rho, settings) == pytest.approx(
-                2 * math.sin(2 * phi), abs=1e-10
-            )
-
-    def test_mermin_after_update(self):
-        settings = standard_settings(c0=SX, c1=SY)
-        strat = (projective_from_observable(SX), projective_from_observable(SY))
-        for phi in (0.3, math.pi / 4):
-            rho2 = luders_update(to_density(ghz(phi)), strat)
-            assert mermin_value(rho2, settings) == pytest.approx(
-                2 * math.sin(2 * phi), abs=1e-10
-            )
-
-    def test_svetlichny_first_charlie(self):
-        settings = genuine_settings(c0=-SY, c1=SX)
-        for phi in np.linspace(0.0, math.pi / 4, 40):
-            rho = to_density(ghz(phi))
-            assert svetlichny_value(rho, settings) == pytest.approx(
-                4 * SQRT2 * math.sin(2 * phi), abs=1e-10
-            )
-
-    def test_svetlichny_after_update(self):
-        settings = genuine_settings(c0=-SY, c1=SX)
-        strat = (projective_from_observable(-SY), projective_from_observable(SX))
-        for phi in (0.4, math.pi / 4):
-            rho2 = luders_update(to_density(ghz(phi)), strat)
-            assert svetlichny_value(rho2, settings) == pytest.approx(
-                2 * SQRT2 * math.sin(2 * phi), abs=1e-10
-            )
-
     def test_svetlichny_vanishes_on_product_state(self):
         rho = to_density(ghz(0.0))
         assert svetlichny_value(rho, genuine_settings(-SY, SX)) == pytest.approx(

@@ -325,9 +325,9 @@ class TestOutputMemory:
     def test_csv_is_built_in_one_buffer(self, traced_peak):
         # Beside the output the writer holds the buffer's growth slack (up to an eighth
         # of the output, 2.5 of its 20 phi rows), the phi and p texts, and one block of
-        # at most _CSV_BLOCK cells, a row here: its NUL-padded matrix, the mask and its
-        # CSV bytes, about a row each. It peaks near 5.2 rows. Row blocks kept in a list
-        # and then joined, or any other copy of the output, would add 20.
+        # at most _CSV_BLOCK cells, a row here: its NUL-padded matrix, the matrix's tobytes
+        # copy and its CSV bytes, about a row each. It peaks near 5.1 rows. Row blocks kept
+        # in a list and then joined, or any other copy of the output, would add 20.
         grid = scan("genuine", *scan_grid(20, 1000), v=0.9)
         data, peak = traced_peak(cli.grid_to_csv, grid)
         block = len(data) / grid.phi.size

@@ -16,8 +16,10 @@ id that pytest reports; a nonzero exit without one (an internal error, a
 usage error, no tests collected) is a probe error, and the probe prints the
 tail of pytest's output and stops. A mutant that neither fails
 is a survivor, and so is a mutant marked ``verify=True`` that ``verify``
-lets through, even when a test kills it. Exits 1 on a probe error, if the
-unmutated copy fails or if any mutant survives. Standard library only.
+lets through, even when a test kills it. The line before the last names the
+mutants that ``verify`` does not kill (``verify misses N of M mutant(s): ...``).
+Exits 1 on a probe error, if the unmutated copy fails or if any mutant survives.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -78,11 +80,11 @@ MUTANTS = (
            "for k in range(0, grid.p.size - grid.p.size % _CSV_BLOCK or grid.p.size, _CSV_BLOCK):",
            verify=True),
     # The number formatter accepts every rint, so a value whose scaled product lies near
-    # half an integer may take the wrong one of its two 12-digit roundings. Test-only:
-    # verify compares the CSV bytes with the per-cell writer, but its row holds no near-tie
-    # that the guard decides; the near-tie test owns it.
+    # half an integer may take the wrong one of its two 12-digit roundings. verify's CSV
+    # row holds no near-tie that the guard decides; standard-scan-consistency's 240
+    # constructed near-ties do.
     Mutant("csv-near-tie-unguarded", "src/seqbell/feasibility.py",
-           "fast = (np.abs(y - m) <= 0.499) & (m >= 1e11)", "fast = (m >= 1e11)", verify=False),
+           "fast = (np.abs(y - m) <= 0.499) & (m >= 1e11)", "fast = (m >= 1e11)", verify=True),
     # The one scan loop writes each block's value1 into value2 and value2 into value1, so
     # the CLI's scan and verify's both do, and still agree. The flag rule is symmetric in the
     # two values; the scan-consistency checks' closed-form rows and the CLI digest tests see it.
@@ -289,7 +291,7 @@ def main() -> int:
         if any(probe(work, env, "unmutated")):
             print("the unmutated copy fails; no mutant can be judged")
             return 1
-        survivors = []
+        survivors, missed = [], []
         for mutant in MUTANTS:
             target = work / mutant.path
             original = target.read_text()
@@ -297,15 +299,19 @@ def main() -> int:
             if count != 1:
                 print(f"{mutant.name}: its text occurs {count} times in {mutant.path}, not once")
                 survivors.append(mutant.name)
+                missed.append(mutant.name)
                 continue
             target.write_text(original.replace(mutant.old, mutant.new))
             try:
                 tests_killed, verify_killed = probe(work, env, mutant.name)
                 if not (verify_killed or tests_killed and not mutant.verify):
                     survivors.append(mutant.name)
+                if not verify_killed:
+                    missed.append(mutant.name)
             finally:
                 target.write_text(original)
 
+    print(f"verify misses {len(missed)} of {len(MUTANTS)} mutant(s): {', '.join(missed)}")
     if survivors:
         print(f"{len(survivors)} of {len(MUTANTS)} mutant(s) survived: {', '.join(survivors)}")
         return 1
