@@ -149,9 +149,9 @@ _DIGITS, _ZEROS, _BEFORE, _AFTER, _POINT = _tables()
 def _texts(x: np.ndarray) -> np.ndarray:
     """``b"%.12g" % x`` for each x of a 1-D float array, as the rows of a uint8 matrix.
 
-    Row i holds the text of ``x[i]``, in order, and NUL bytes about it. There are 18
-    columns, or one past the longest text when ``_fmt`` spells a longer one, so the last
-    is all NUL.
+    Row i holds the text of ``x[i]``, in order, and NUL bytes about it. There are ``_ROW``
+    columns, one past the longest text of a double, so the last is always NUL and a caller
+    may put a separator there.
 
     The fast path takes a value 1e-4 <= x < 1e11 in the decade E and rounds it to 12 digits
     as m = rint(y), y = x * 10^(11-E) with one rounding. m is accepted only when
@@ -198,14 +198,14 @@ def _texts(x: np.ndarray) -> np.ndarray:
     if spelt:
         text[slow] = np.frombuffer(b"".join(t.ljust(_ROW, b"\0") for t in spelt),
                                    np.uint8).reshape(-1, _ROW)
-    return text[:, :1 + max([17, *map(len, spelt)])]
+    return text
 
 
 # Cells per block of ``grid_to_csv``: the largest power of two whose working set stays within
 # the bound of ``TestOutputMemory``. Medians of 9, sizes interleaved, in process on one CPU of a
-# 2-CPU x86-64 machine: a 20x25,000 genuine grid formats in 147-149 ms (two runs) in blocks of
-# 1,024 cells, 173-185 ms in blocks of 512 and 132 ms in blocks of 2,048; the traced peak above
-# the output of a 20x1,000 grid is 5.1 rows of its text at 1,024, 4.2 at 512 and 8.0 at 2,048.
+# 2-CPU x86-64 machine: a 20x25,000 genuine grid formats in 120-122 ms (two runs) in blocks of
+# 1,024 cells, 139-143 ms in blocks of 512 and 108-110 ms in blocks of 2,048; the traced peak above
+# the output of a 20x1,000 grid is 5.26 rows of its text at 1,024, 4.34 at 512 and 8.74 at 2,048.
 _CSV_BLOCK = 1024
 
 
@@ -213,12 +213,12 @@ def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
     """The grid as ASCII CSV bytes, phi-major, ending in a newline.
 
     The cells are laid out in blocks of at most ``_CSV_BLOCK``: whole rows, or one row's
-    run of p columns when a row is longer. Each block is one uint8 matrix, a cell per line,
-    composed by one ``np.concatenate`` of its fields' texts from ``_texts`` with their NUL
-    padding: ``phi,``, ``p,`` with ``v,`` (genuine grids), ``value1,value2,``, and the flag
-    with its newline. One ``translate`` deletes the padding (no CSV byte is NUL), and the
-    block is appended to the one buffer returned, so the text never exists twice. The phi
-    and p columns are formatted once per grid.
+    run of p columns when a row is longer. Each block is one array of fixed-width records,
+    a cell's line per record, whose void fields take whole NUL-padded texts from ``_texts``,
+    a field per assignment: ``phi,``, ``p,`` with ``v,`` (genuine grids), ``value1,value2,``,
+    and the flag with its newline. One ``translate`` deletes the padding (no CSV byte is NUL),
+    and the block is appended to the one buffer returned, so the text never exists twice. The
+    phi and p columns are formatted once per grid, as items of their fields.
     """
     v_head, v_text = ("", b"") if grid.v is None else (",v", _fmt(grid.v).encode() + b",")
     csv = bytearray(f"phi,p{v_head},value1,value2,double_violation\n".encode())
@@ -226,8 +226,12 @@ def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
         return csv
     phi, p = _texts(grid.phi), _texts(grid.p)
     phi[:, -1] = p[:, -1] = ord(",")
-    p = np.hstack([p, np.tile(np.frombuffer(v_text, np.uint8), (grid.p.size, 1))])
-    ends = np.frombuffer(b"0\n1\n", np.uint8).reshape(2, 2)  # per flag, its text and newline
+    v = np.frombuffer(v_text, np.uint8)
+    line = np.dtype([("phi", f"V{_ROW}"), ("p", f"V{_ROW + v.size}"),
+                     ("values", f"V{2 * _ROW}"), ("flag", "V2")])
+    phi = phi.view(line["phi"])[:, 0]
+    p = np.hstack([p, np.tile(v, (grid.p.size, 1))]).view(line["p"])[:, 0]
+    ends = np.frombuffer(b"0\n1\n", line["flag"])  # per flag, its text and newline
     rows_per_block = max(1, _CSV_BLOCK // grid.p.size)
     for i in range(0, grid.phi.size, rows_per_block):
         rows = slice(i, i + rows_per_block)
@@ -236,11 +240,11 @@ def grid_to_csv(grid: FeasibilityGrid) -> bytearray:
             value1, value2 = grid.value1[rows, cols], grid.value2[rows, cols]
             text = _texts(np.stack((value1, value2), axis=-1).ravel())
             text[:, -1] = ord(",")
-            shape = value1.shape
-            block = np.concatenate((
-                np.broadcast_to(phi[rows, None], (*shape, phi.shape[1])),
-                np.broadcast_to(p[cols], (*shape, p.shape[1])), text.reshape(*shape, -1),
-                np.take(ends, grid.flagged[rows, cols].view(np.uint8), axis=0)), axis=-1)
+            block = np.empty(value1.shape, line)
+            block["phi"] = phi[rows, None]
+            block["p"] = p[cols]
+            block["values"] = text.ravel().view(line["values"]).reshape(value1.shape)
+            block["flag"] = np.take(ends, grid.flagged[rows, cols].view(np.uint8))
             del text  # the block holds its bytes
             csv.extend(block.tobytes().translate(None, b"\0"))
     return csv

@@ -224,8 +224,13 @@ def reference_rects(grid):
     return rects
 
 
+# The longest %.12g text of a double, 19 bytes: it fills a text row of the CSV writer but
+# for the separator's byte.
+WIDEST = -2.22507385851e-308
+
+
 def hand_grid(p, value1, value2, flagged, v=None):
-    phi = np.array([-0.0, 1e-13, 0.5])[: len(value1)]
+    phi = np.array([-0.0, 1e-13, 0.5, WIDEST])[: len(value1)]
     return FeasibilityGrid(kind="standard" if v is None else "genuine", phi=phi,
                            p=np.array(p), v=v, value1=np.array(value1),
                            value2=np.array(value2), flagged=np.array(flagged))
@@ -241,6 +246,9 @@ HAND_GRIDS = {
     "all-flagged": ([0.0, 1.0], [[2.1, 2.2], [2.3, 2.4]], [[2.5, 2.6], [2.7, 2.8]],
                     [[True, True], [True, True]]),
     "none-flagged": ([0.0, 1.0], [[0.1, 0.2]], [[0.3, 0.4]], [[False, False]]),
+    "widest": ([WIDEST, 1.0], [[WIDEST, 0.5], [1.0, WIDEST], [-0.0, 2.5], [WIDEST, WIDEST]],
+               [[WIDEST, 1e-13], [0.25, WIDEST], [WIDEST, -1.5e20], [WIDEST, 0.0]],
+               [[True, False], [False, True], [True, True], [False, False]]),
 }
 
 
@@ -270,7 +278,7 @@ BLOCK = feasibility._CSV_BLOCK
 
 
 class TestGridWriters:
-    @pytest.mark.parametrize("v", [None, 0.8, 1e-13])
+    @pytest.mark.parametrize("v", [None, 0.8, 1e-13, WIDEST])
     @pytest.mark.parametrize("name", sorted(HAND_GRIDS))
     def test_matches_per_cell_reference(self, name, v):
         grid = hand_grid(*HAND_GRIDS[name], v=v)
@@ -325,8 +333,8 @@ class TestOutputMemory:
     def test_csv_is_built_in_one_buffer(self, traced_peak):
         # Beside the output the writer holds the buffer's growth slack (up to an eighth
         # of the output, 2.5 of its 20 phi rows), the phi and p texts, and one block of
-        # at most _CSV_BLOCK cells, a row here: its NUL-padded matrix, the matrix's tobytes
-        # copy and its CSV bytes, about a row each. It peaks near 5.1 rows. Row blocks kept
+        # at most _CSV_BLOCK cells, a row here: its NUL-padded records, their tobytes copy
+        # and its CSV bytes, about a row each. It peaks near 5.26 rows. Row blocks kept
         # in a list and then joined, or any other copy of the output, would add 20.
         grid = scan("genuine", *scan_grid(20, 1000), v=0.9)
         data, peak = traced_peak(cli.grid_to_csv, grid)
@@ -336,7 +344,7 @@ class TestOutputMemory:
     def test_long_rows_are_formatted_in_blocks(self, traced_peak):
         # Beside the output the writer holds the buffer's growth slack (up to an eighth
         # of the output), the padded p texts (about a third of a row's text here) and one
-        # block of at most _CSV_BLOCK cells, whatever n_p is: it peaks near 0.4 of a row.
+        # block of at most _CSV_BLOCK cells, whatever n_p is: it peaks near 0.40 of a row.
         # Formatting whole rows held three copies of a row's text.
         grid = scan_blocks("standard", *scan_grid(2, 100_000))
         data, peak = traced_peak(cli.grid_to_csv, grid)

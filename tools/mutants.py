@@ -68,8 +68,8 @@ MUTANTS = (
            "lo, hi = bound - VIOLATION_MARGIN, bound + VIOLATION_MARGIN",
            "lo, hi = -np.inf, np.inf", verify=True),
     Mutant("inverted-csv-flag", "src/seqbell/feasibility.py",
-           "np.take(ends, grid.flagged[rows, cols].view(np.uint8), axis=0)",
-           "np.take(ends, (~grid.flagged[rows, cols]).view(np.uint8), axis=0)", verify=True),
+           "np.take(ends, grid.flagged[rows, cols].view(np.uint8))",
+           "np.take(ends, (~grid.flagged[rows, cols]).view(np.uint8))", verify=True),
     Mutant("swapped-value-columns", "src/seqbell/feasibility.py",
            "np.stack((value1, value2), axis=-1)", "np.stack((value2, value1), axis=-1)",
            verify=True),
