@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cmatrix import kron
+from .cmatrix import kron, stack
 
 # ((x, y, z), coefficient) terms. Mermin sums the three single-excitation
 # correlators minus the all-ones one; Svetlichny takes every correlator
@@ -33,6 +33,7 @@ SVETLICHNY_TERMS = tuple(
     for y in (0, 1)
     for z in (0, 1)
 )
+_COEFFS = {t: np.array([c for _, c in t], dtype=float) for t in (MERMIN_TERMS, SVETLICHNY_TERMS)}
 
 # Classical bounds: fully-local models for Mermin, hybrid bipartition
 # models for Svetlichny. Certified by enumeration in the lhvbound module.
@@ -50,9 +51,9 @@ def expectation(rho: np.ndarray, a, b, c):
 
     Raises on an imaginary residue in any correlator of any batch member.
     """
-    ops = np.array([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
+    ops = stack([kron(kron(ak, bk), ck) for ak, bk, ck in zip(a, b, c, strict=True)])
     value = np.einsum("...ij,kji->...ki", rho, ops).sum(axis=-1)
-    residue = np.abs(value.imag).max()
+    residue = abs(value.imag).max()
     if not residue <= _IMAG_TOL:
         raise RuntimeError(
             f"correlator has imaginary part {residue:g}; "
@@ -72,8 +73,7 @@ def _inequality_value(rho, settings: Settings, terms):
     """
     a, b, c = settings
     values = expectation(rho, *zip(*[(a[x], b[y], c[z]) for (x, y, z), _ in terms]))
-    coeffs = np.array([coeff for _, coeff in terms], dtype=float)
-    return np.add.accumulate(values * coeffs, axis=-1)[..., -1] + 0.0
+    return np.add.accumulate(values * _COEFFS[terms], axis=-1)[..., -1] + 0.0
 
 
 def mermin_value(rho: np.ndarray, settings: Settings):

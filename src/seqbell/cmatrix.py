@@ -5,11 +5,11 @@ Everything is a plain ``numpy.ndarray`` of dtype complex128, at most 8x8;
 predicates (hermiticity, idempotency) check what the rest of the package builds,
 a stack (..., n, n) as a whole: every member must pass, and NaN fails.
 
-``kron`` also makes each product of two registered constants once per process: the kernel
-evaluates the same few fixed operators at every angle, and their products are the same
-arithmetic each time. ``constant`` registers an array once it is built; ``kron_memo`` lists
-the products made so far. The memo stays until the CLI scan is batched: without it, a per-angle
-500x500 scan took 0.156 s, not 0.078 s (genuine: 0.192, not 0.087; in process, 2-CPU x86-64).
+``kron`` makes each product of two registered constants once per process, and ``stack`` each
+``np.array`` of them: the kernel evaluates the same few fixed operators at every angle. ``constant``
+registers an array once it is built; ``kron_memo`` and ``stack_memo`` list what was made so far.
+The memos stay until the CLI scan is batched: without them, a per-angle 500x500 scan took 0.158 s,
+not 0.083 s (genuine: 0.212, not 0.088; medians of 7, in process, one CPU of a 2-CPU x86-64).
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ DEFAULT_TOL = 1e-12
 # id(x) -> x for each registered constant; holding x keeps its id from being reused.
 _CONSTANTS: dict[int, np.ndarray] = {}
 
-# (id(a), id(b)) -> (a, b, a (x) b) for two registered constants a and b.
+# (id(a), id(b)) -> (a, b, a (x) b), and (id(a), ...) -> ((a, ...), stack), of registered constants.
 _MEMO: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_STACKS: dict[tuple[int, ...], tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
 
 
 def constant(x: np.ndarray) -> np.ndarray:
@@ -61,6 +62,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kron_memo() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Every stored ``(a, b, a (x) b)`` of the ``kron`` memo, oldest first."""
     return tuple(_MEMO.values())
+
+
+def stack(arrays) -> np.ndarray:
+    """``np.array(arrays)``; a stack of registered constants only is made once, as ``kron``'s."""
+    key = tuple(map(id, arrays))
+    if key not in _STACKS:
+        if not all(k in _CONSTANTS for k in key):
+            return np.array(arrays)
+        _STACKS[key] = tuple(arrays), constant(np.array(arrays))
+    return _STACKS[key][1]
+
+
+def stack_memo() -> tuple[tuple[tuple[np.ndarray, ...], np.ndarray], ...]:
+    """Every stored ``(members, stack)`` of the ``stack`` memo, oldest first."""
+    return tuple(_STACKS.values())
 
 
 def _require_square(a: np.ndarray) -> None:

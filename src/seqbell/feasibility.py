@@ -98,10 +98,11 @@ def _fmt(x: float) -> str:
 # Bytes per text row of ``_texts``: "0000", 12 digits and NUL, or the longest ``_fmt``
 # text of a double (19 bytes, as in -1.23456789012e-308) and NUL.
 _ROW = 20
-# A value x in the decade E = -4..10, fl(10^E) <= x < fl(10^(E+1)), has the code
-# k = E + 5 = np.searchsorted(_TENS, x, "right"); code 0 holds x < 1e-4, x <= 0 and
-# -inf, code 16 holds x >= 1e11, inf and NaN, and both go to ``_fmt``.
-_TENS = np.array([float(f"1e{e}") for e in range(-4, 12)])
+# Code E + 5 for x in the decade E = -4..10, fl(10^E) <= x < fl(10^(E+1)): the count of ``_TENS``
+# at most x, 0 below 1e-4 and 16 from 1e11, inf and NaN (NaN ends it), both left to ``_fmt``.
+# ``_DECADES[b]`` is the code of 2^(b-1023); x with exponent bits b can pass only ``_TENS[code]``.
+_TENS = np.array([float(f"1e{e}") for e in range(-4, 12)] + [math.nan])
+_DECADES = np.searchsorted(_TENS[:-1], [2.0**e for e in range(-1023, 1024)] + [math.inf], "right")
 # 10^(11-E) per code, as the double nearest it, exact for 11-E <= 15; for codes 0 and 16,
 # NaN, which fails every test of m.
 _SCALE = np.array([math.nan] + [float(10 ** (11 - e)) for e in range(-4, 11)] + [math.nan])
@@ -163,16 +164,16 @@ def _texts(x: np.ndarray) -> np.ndarray:
     ``_fmt``, so ``%.12g`` is spelt in one place. Each temporary is dropped once used,
     which halves the working set.
     """
-    code = np.searchsorted(_TENS, x, side="right")
+    code = _DECADES[x.view(np.int64) >> 52]  # x < 0 indexes from the end, as |x|; m < 0 fails
+    code += x >= _TENS[code]
     y = x * _SCALE[code]
     m = np.rint(y)
     fast = (np.abs(y - m) <= 0.499) & (m >= 1e11) & (m < 1e12)
     del y
     m[~fast] = 1e11
-    m = m.astype(np.int64)
-    high, low = m // 10**8, m % 10**4
-    middle = m // 10**4 - high * 10**4
-    del m
+    top, high = np.floor(m / 1e4), np.floor(m / 1e8)  # exact: m is an integer below 2^40
+    high, middle, low = (g.astype(np.intp) for g in (high, top - high * 1e4, m - top * 1e4))
+    del m, top
     digits = np.zeros((x.size, _ROW // 4), np.uint32)
     digits[:, 0] = 0x30303030  # "0000"
     digits[:, 1], digits[:, 2], digits[:, 3] = _DIGITS[high], _DIGITS[middle], _DIGITS[low]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cmatrix import EYE4, kron
+from .cmatrix import EYE4, kron, stack
 from .qstate import EffectPair, check_p
 
 _TRACE_TOL = 1e-12
@@ -60,9 +60,9 @@ def luders_products(rho: np.ndarray, measurements: tuple[EffectPair, EffectPair]
         raise ValueError(f"expected an effect pair per input, got {len(measurements)} pairs")
     e8 = [embed_third(effect) for meas in measurements for effect in meas]
     # N channels: (N, 4, 8, 8). One: (4, 8, 8), the swap a no-op.
-    e8 = np.array(e8).swapaxes(0, -3)
+    e8 = stack(e8).swapaxes(0, -3)
     _check_members(e8.shape[:-3], rho)
-    return e8 @ rho[..., None, :, :] @ e8
+    return (e8.reshape(*e8.shape[:-3], 32, 8) @ rho).reshape(*rho.shape[:-2], 4, 8, 8) @ e8
 
 
 def luders_weigh(rho: np.ndarray, products: np.ndarray, prob_z0: float) -> np.ndarray:

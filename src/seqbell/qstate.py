@@ -48,10 +48,11 @@ def check_phi(phi) -> None:
 
     Angles are rejected rather than wrapped; the error names the first bad one.
     """
-    if np.size(phi) == 0:
+    angles = np.asarray(phi)
+    if angles.size == 0:
         raise ValueError("phi is an empty array of angles")
-    if not (0.0 <= np.min(phi) and np.max(phi) <= PHI_MAX):
-        flat = np.ravel(phi)
+    if not (0.0 <= angles.min() and angles.max() <= PHI_MAX):
+        flat = angles.ravel()
         i = np.flatnonzero(~((0.0 <= flat) & (flat <= PHI_MAX)))[0]
         raise ValueError(f"phi={flat[i]} (angle {i} of {flat.size}) outside [0, pi/4]")
 
@@ -82,8 +83,8 @@ def to_density(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (8,):
         raise ValueError(f"expected 8-dim state vectors, got shape {psi.shape}")
-    norm2 = np.sum(psi * psi.conj(), axis=-1).real
-    if not np.max(np.abs(norm2 - 1.0)) <= DEFAULT_TOL:
+    norm2 = (psi * psi.conj()).sum(axis=-1).real
+    if not abs(norm2 - 1.0).max() <= DEFAULT_TOL:
         flat = np.ravel(norm2)
         i = np.flatnonzero(~(np.abs(flat - 1.0) <= DEFAULT_TOL))[0]
         raise ValueError(f"state vector {i} of {flat.size} not normalized: |psi|^2 = {flat[i]}")

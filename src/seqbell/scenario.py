@@ -165,10 +165,10 @@ def branch_arrays(kind: str, phi, v=None):
     # Strategy 2's products last, alive for no other branch; weighed per bias, None as 0.5 and
     # a scalar v as a sweep of one. float(q): cheaper than np.float64 in the channel.
     products2 = luders_products(rho, measurements2)
-    second2 = np.empty(biases.shape + phi.shape)
-    for k, q in np.ndenumerate(np.asarray(0.5) if v is None else biases):
+    second2 = np.empty((biases.size,) + phi.shape)
+    for k, q in enumerate([0.5] if v is None else biases.ravel().tolist()):
         second2[k] = scenario.value(luders_weigh(rho, products2, float(q)), settings1)
-    return first1, second1, first2, second2
+    return first1, second1, first2, second2.reshape(biases.shape + phi.shape)
 
 
 def standard_branch_values(phi: float) -> tuple[float, float, float, float]:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .bell import MERMIN_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND
-from .cmatrix import EYE2, kron, kron_memo
+from .cmatrix import EYE2, kron, kron_memo, stack_memo
 from .feasibility import (
     _CSV_BLOCK,
     _fmt,
@@ -124,12 +124,14 @@ def check_matrix_identities() -> list[Measurement]:
         a, b = _complex_gaussian(rng), _complex_gaussian(rng)
         dev = _worst(dev, abs(np.trace(a @ b) - np.trace(b @ a)),
                      np.abs(kron(a, b).conj().T - kron(a.conj().T, b.conj().T)))
-    # Once the kernel has run for both kinds, each product in the kron memo is a fresh one.
+    # Once the kernel has run for both kinds, each product and stack in the memos is a fresh one.
     branch_arrays("standard", [PHI_MAX])
     branch_arrays("genuine", [PHI_MAX], 0.5)
     stale = sum(kron(a.copy(), b.copy()).tobytes() != product.tobytes()
                 for a, b, product in kron_memo())
-    return [("max deviation", dev, 1e-12), ("memoized products unlike a fresh kron", stale, 0)]
+    stale_stacks = sum(np.array(m).tobytes() != s.tobytes() for m, s in stack_memo())
+    return [("max deviation", dev, 1e-12), ("memoized products unlike a fresh kron", stale, 0),
+            ("memoized stacks unlike a fresh np.array", stale_stacks, 0)]
 
 
 def check_state_invariants() -> list[Measurement]:

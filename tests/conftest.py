@@ -28,8 +28,8 @@ def pytest_sessionstart(session):
     ``_operators`` registers them with ``cmatrix.constant`` on its first call
     only. A test that swaps the registry for a temporary one would otherwise
     leave them registered there alone, if it made the process's first kernel
-    call, and ``kron`` would memoize none of their products for the rest of
-    the session.
+    call, and ``kron`` and ``stack`` would memoize none of their products and
+    stacks for the rest of the session.
     """
     for kind in SCENARIOS:
         _operators(kind)

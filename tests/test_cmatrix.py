@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from seqbell import cmatrix
-from seqbell.cmatrix import EYE2, constant, is_hermitian, is_idempotent, kron, kron_memo
+from seqbell.cmatrix import (
+    EYE2,
+    constant,
+    is_hermitian,
+    is_idempotent,
+    kron,
+    kron_memo,
+    stack,
+    stack_memo,
+)
 from seqbell.qstate import pauli
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
@@ -128,8 +137,9 @@ def registered(x):
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty kron memo and a private registry; the process's own are put back after."""
+    """Empty kron and stack memos and a private registry; the process's own are put back after."""
     monkeypatch.setattr(cmatrix, "_MEMO", {})
+    monkeypatch.setattr(cmatrix, "_STACKS", {})
     monkeypatch.setattr(cmatrix, "_CONSTANTS", dict(cmatrix._CONSTANTS))
 
 
@@ -171,6 +181,21 @@ class TestMemo:
         assert kron(a, b) is not first and kron(b, a) is not flipped
         assert first.tobytes() == np.kron(SX, SZ).tobytes() and first.flags.writeable
         assert kron_memo() == ()
+
+    def test_a_stack_of_registered_constants_is_made_once(self, memo):
+        a, b = registered(SX), registered(SY)
+        ab = stack([a, b])
+        assert ab.tobytes() == np.array([SX, SY]).tobytes() and stack((a, b)) is ab
+        assert [(tuple(map(id, m)), id(s)) for m, s in stack_memo()] == [((id(a), id(b)), id(ab))]
+        with pytest.raises(ValueError):
+            ab[0, 0, 0] = 0.0
+        assert stack([b, a]) is not ab and len(stack_memo()) == 2
+
+    def test_a_stack_with_an_unregistered_member_is_made_afresh(self, memo):
+        a, b = registered(SX), frozen(SY)
+        first = stack([a, b])
+        assert stack([a, b]) is not first and first.flags.writeable
+        assert first.tobytes() == np.array([SX, SY]).tobytes() and stack_memo() == ()
 
     def test_a_registered_view_freezes_the_array_it_reads(self, memo):
         base = np.zeros((3, 3), dtype=complex)

@@ -245,31 +245,43 @@ class TestOperators:
 
 
 class TestKronMemo:
-    """Branch values do not depend on whether the kron memo is cold, warm or off."""
+    """Branch values do not depend on whether the kron and stack memos are cold, warm or off."""
 
     PHI = np.linspace(0.0, PI4, 9)
     CASES = (("standard", None), ("genuine", 0.8), ("genuine", [0.3, 0.8, 20 / 21]))
 
+    @staticmethod
+    def empty_memos(monkeypatch):
+        monkeypatch.setattr(cmatrix, "_MEMO", {})
+        monkeypatch.setattr(cmatrix, "_STACKS", {})
+
+    @staticmethod
+    def stored():
+        """The ids of every stored product and stack, with those of their operands."""
+        return ([tuple(map(id, entry)) for entry in cmatrix.kron_memo()],
+                [(tuple(map(id, members)), id(stack)) for members, stack in cmatrix.stack_memo()])
+
     def test_cold_warm_and_off_give_the_same_bytes(self, monkeypatch):
         for kind, v in self.CASES:
-            monkeypatch.setattr(cmatrix, "_MEMO", {})
+            self.empty_memos(monkeypatch)
             cold, warm = ([x.tobytes() for x in branch_arrays(kind, self.PHI, v)]
                           for _ in range(2))
-            monkeypatch.setattr(cmatrix, "_CONSTANTS", {})  # nothing registered: no product kept
-            monkeypatch.setattr(cmatrix, "_MEMO", {})
+            assert all(self.stored())
+            monkeypatch.setattr(cmatrix, "_CONSTANTS", {})  # nothing registered: nothing kept
+            self.empty_memos(monkeypatch)
             off = [x.tobytes() for x in branch_arrays(kind, self.PHI, v)]
-            assert cmatrix.kron_memo() == ()
+            assert self.stored() == ([], [])
             monkeypatch.undo()
             assert cold == warm == off, (kind, v)
 
     def test_further_angles_and_biases_store_nothing(self, monkeypatch):
-        monkeypatch.setattr(cmatrix, "_MEMO", {})
+        self.empty_memos(monkeypatch)
         for kind, v in self.CASES:
             branch_arrays(kind, self.PHI, v)
-        stored = [tuple(map(id, entry)) for entry in cmatrix.kron_memo()]
+        stored = self.stored()
         branch_arrays("standard", self.PHI[1:] / 2)
         branch_arrays("genuine", self.PHI[1:] / 2, [0.1, 0.9])
-        assert [tuple(map(id, entry)) for entry in cmatrix.kron_memo()] == stored
+        assert self.stored() == stored
 
 
 class TestPinnedValues:

@@ -219,6 +219,26 @@ def test_stale_kron_memo_entry_fails_matrix_identities(monkeypatch):
     assert "memoized products unlike a fresh kron 1 (tol 0)" in result.detail
 
 
+def test_stale_stack_memo_entry_fails_matrix_identities(monkeypatch):
+    a, b = cmatrix.constant(pauli("x")), cmatrix.constant(pauli("z"))
+    stale = cmatrix.constant(np.stack([b, a]))  # not [X, Z]
+    monkeypatch.setattr(cmatrix, "_STACKS", {(id(a), id(b)): ((a, b), stale)})
+    result = run_one(monkeypatch, "matrix-identities")
+    assert not result.passed
+    assert "memoized stacks unlike a fresh np.array 1 (tol 0)" in result.detail
+
+
+def test_unregistered_settings_of_the_channel_checks_store_no_stack(monkeypatch):
+    # channel-properties draws its settings at random and channel-closed-forms builds fresh
+    # ones. The stack memo is keyed by id, so a stored transient could later answer for
+    # another array that reuses its id.
+    monkeypatch.setattr(cmatrix, "_STACKS", {})
+    for name in ("channel-properties", "channel-closed-forms"):
+        with monkeypatch.context() as one:
+            assert run_one(one, name).passed
+    assert cmatrix.stack_memo() == ()
+
+
 def test_kron_memo_holds_the_48_kernel_products(monkeypatch):
     # 20 products for the standard kernel's operators, 28 for the genuine one's.
     monkeypatch.setattr(cmatrix, "_MEMO", {})

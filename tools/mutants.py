@@ -135,7 +135,8 @@ MUTANTS = (
            verify=True),
     # each coefficient weighs the correlator stacked before its own,
     Mutant("shifted-correlator-coefficients", "src/seqbell/bell.py",
-           "values * coeffs", "np.roll(values, 1, axis=-1) * coeffs", verify=True),
+           "values * _COEFFS[terms]", "np.roll(values, 1, axis=-1) * _COEFFS[terms]",
+           verify=True),
     # the lone party of a hybrid LHV strategy reads a paired party's input,
     Mutant("lone-party-reads-paired-input", "src/seqbell/lhvbound.py",
            "solo[inputs[k]]", "solo[inputs[i]]", verify=True),
@@ -157,7 +158,7 @@ MUTANTS = (
     # Test-only: every operator a valid run builds is Hermitian, so the guard
     # never fires in verify; the last-correlator test in tests/test_bell.py owns it.
     Mutant("residue-guard-first-correlator", "src/seqbell/bell.py",
-           "np.abs(value.imag).max()", "np.abs(value.imag[..., 0]).max()", verify=False),
+           "abs(value.imag).max()", "abs(value.imag[..., 0]).max()", verify=False),
     # Each correlator is Tr(rho O^T): the operator convention, one subscript string,
     # transposed. Test-only until a referee checks the kernel on random settings: verify
     # evaluates correlators only on GHZ states and their images under the paper's X, Y
@@ -185,8 +186,8 @@ MUTANTS = (
     # a mis-paired channel is still a channel, so no check verify makes sees it, and a
     # stack of one is unchanged; the batched-update test in tests/test_properties.py owns it.
     Mutant("batched-channel-next-members-effects", "src/seqbell/luders.py",
-           "e8 = np.array(e8).swapaxes(0, -3)",
-           "e8 = np.roll(np.array(e8).swapaxes(0, -3), -1, range(np.ndim(e8) - 3))",
+           "e8 = stack(e8).swapaxes(0, -3)",
+           "e8 = np.roll(stack(e8).swapaxes(0, -3), -1, range(np.ndim(e8) - 3))",
            verify=False),
     # channel-properties draws each member's angle after its strategy. Test-only:
     # other draws give other but equally passing values; the reference loop owns it.
